@@ -95,10 +95,10 @@ const benchPasses = 2
 // recomputes every derived speedup from the merged times. Contention only
 // ever slows a measurement down, so per-record minimum over well-spaced
 // passes estimates what the code costs, not what the machine was doing.
-func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
+func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, sweep []experiments.ChurnConfig, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
 	var best *benchfmt.Report
 	for p := 0; p < benchPasses; p++ {
-		rep, err := runBenchSweep(models, figures, cfg, churn, churn3s, route, iterations, maxWorkers)
+		rep, err := runBenchSweep(models, figures, cfg, churn, churn3s, sweep, route, iterations, maxWorkers)
 		if err != nil {
 			return nil, err
 		}
@@ -162,11 +162,12 @@ func recomputeStrategySpeedups(rep *benchfmt.Report) {
 // runBenchSweep times every requested figure sweep, plus the paper's
 // largest single construction (mfp.Build on 800 clustered faults) at each
 // worker count, plus the churn scenario (incremental engine vs full
-// rebuild per event), plus the route-serving workloads derived from the
-// route config, and returns the report with speedups filled in.
+// rebuild per event), plus the per-event churn cost at each mesh size of
+// sweep, plus the route-serving workloads derived from the route config,
+// and returns the report with speedups filled in.
 // maxWorkers caps the timed pool sizes (the -workers flag); zero means up
 // to one worker per CPU.
-func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
+func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, sweep []experiments.ChurnConfig, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
 	if iterations < 1 {
 		iterations = 1
 	}
@@ -337,13 +338,103 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 		rep.Add(inc)
 	}
 
+	for _, c := range sweep {
+		if err := churnPerEventRecord(rep, c, iterations); err != nil {
+			return nil, err
+		}
+	}
+
 	if err := engineAllocsRecord(rep); err != nil {
 		return nil, err
 	}
 	if err := engine3AllocsRecord(rep); err != nil {
 		return nil, err
 	}
+	if err := engineBytesRecord(rep); err != nil {
+		return nil, err
+	}
 	return rep, nil
+}
+
+// churnPerEventRecord times the 2-D engine's per-event cost on one mesh
+// size of the sweep: after the warm-up arrivals (one batch, untimed), the
+// churn events are applied one Apply — one snapshot publish — each, the
+// way a lightly loaded shard applies them, followed by their inverse in
+// reverse order, which restores the warm-up state so every timed run
+// starts from the same engine. The record is wall-clock seconds per
+// event.
+func churnPerEventRecord(rep *benchfmt.Report, c experiments.ChurnConfig, iterations int) error {
+	seq := c.Sequence()
+	warm, churn := seq[:c.Faults], seq[c.Faults:]
+	e, err := engine.New(grid.New(c.MeshSize, c.MeshSize))
+	if err != nil {
+		return err
+	}
+	if _, _, err := e.Apply(warm); err != nil {
+		return err
+	}
+	round := make([]engine.Event, 0, 2*len(churn))
+	round = append(round, churn...)
+	for i := len(churn) - 1; i >= 0; i-- {
+		inv := engine.Event{Op: engine.Add, Node: churn[i].Node}
+		if churn[i].Op == engine.Add {
+			inv.Op = engine.Clear
+		}
+		round = append(round, inv)
+	}
+	var runErr error
+	secs, iters := timeIt(iterations, func() {
+		for i := range round {
+			if _, _, err := e.Apply(round[i : i+1]); err != nil {
+				runErr = err
+			}
+		}
+	})
+	if runErr != nil {
+		return runErr
+	}
+	if e.Snapshot().Faults().Len() != c.Faults {
+		return fmt.Errorf("churn sweep %s: inverse replay left %d faults, want %d", c.Name(), e.Snapshot().Faults().Len(), c.Faults)
+	}
+	rep.Add(benchfmt.Record{
+		Name:    fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.MeshSize, c.Faults, c.Events, c.BaseSeed),
+		Workers: 1, Iterations: iters, Seconds: secs / float64(len(round)),
+	})
+	return nil
+}
+
+// engineBytesRecord measures the heap a resident 2-D engine holds per
+// faulty component — the live-heap growth across building an engine over
+// 0.5% clustered faults on a 512×512 mesh, divided by the component
+// count — and records it as a machine-independent counter (unit
+// "B/component"). Components and polygons store only their own word
+// windows, so the figure is a few hundred bytes, not a mesh bitmap.
+func engineBytesRecord(rep *benchfmt.Report) error {
+	m := grid.New(512, 512)
+	faults := fault.NewInjector(m, fault.Clustered, 1).Inject(m.Size() / 200)
+	events := make([]engine.Event, 0, faults.Len())
+	faults.Each(func(c grid.Coord) { events = append(events, engine.Event{Op: engine.Add, Node: c}) })
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := engine.New(m)
+	if err != nil {
+		return err
+	}
+	if _, _, err := e.Apply(events); err != nil {
+		return err
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	comps := len(e.Snapshot().Components())
+	rep.Add(benchfmt.Record{
+		Name:    fmt.Sprintf("engine/heap/mesh%d/faults%d/clustered/seed1/bytes", m.W, faults.Len()),
+		Workers: 1, Iterations: 1,
+		Seconds: (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(comps),
+		Unit:    "B/component",
+	})
+	runtime.KeepAlive(e)
+	return nil
 }
 
 // engine3AllocsRecord is the 3-D twin of engineAllocsRecord: the

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,14 +49,16 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	churn3 := testChurn3Config()
 	churn3Big := testChurn3InfeasibleConfig()
 	route := testRouteConfig()
+	sweep := []experiments.ChurnConfig{churn, {MeshSize: 70, Faults: 6, Events: 20, BaseSeed: 5}}
 	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn3Config{churn3, churn3Big}, route, 1, 0)
+		[]experiments.Churn3Config{churn3, churn3Big}, sweep, route, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawSweepSerial, sawBuild, sawChurnRebuild, sawChurnIncremental bool
 	var sawChurn3Rebuild, sawChurn3Incremental, sawChurn3BigIncremental bool
-	var sawEngine3Allocs bool
+	var sawEngine3Allocs, sawEngineBytes bool
+	sawPerEvent := map[int]bool{}
 	var sawRouteSweep, sawRoutePlanner, sawRouteServe bool
 	for _, rec := range rep.Records {
 		if strings.HasPrefix(rec.Name, "figure9/random/") && rec.Workers == 1 {
@@ -98,6 +101,17 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 				t.Fatalf("engine3 steady-state apply allocates %.3f/event, want < 0.5", rec.Seconds)
 			}
 		}
+		for _, c := range sweep {
+			if rec.Name == fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.MeshSize, c.Faults, c.Events, c.BaseSeed) {
+				sawPerEvent[c.MeshSize] = true
+			}
+		}
+		if strings.HasPrefix(rec.Name, "engine/heap/") {
+			sawEngineBytes = true
+			if rec.Unit != "B/component" {
+				t.Fatalf("engine heap record unit %q, want B/component", rec.Unit)
+			}
+		}
 		if rec.Name == churn.Name()+"/incremental" {
 			sawChurnIncremental = true
 			// The hand-filled incremental-vs-rebuild speedup must survive
@@ -126,8 +140,11 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	if !sawChurn3Rebuild || !sawChurn3Incremental || !sawChurn3BigIncremental {
 		t.Fatalf("report misses churn3d workloads: %+v", rep.Records)
 	}
-	if !sawEngine3Allocs {
-		t.Fatalf("report misses the engine3 allocs counter: %+v", rep.Records)
+	if !sawEngine3Allocs || !sawEngineBytes {
+		t.Fatalf("report misses the engine3 allocs or engine heap counter: %+v", rep.Records)
+	}
+	if len(sawPerEvent) != len(sweep) {
+		t.Fatalf("report has per-event records for meshes %v, want all of %v", sawPerEvent, sweep)
 	}
 	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe {
 		t.Fatalf("report misses route workloads: %+v", rep.Records)
@@ -244,7 +261,7 @@ func TestRunBenchSweepRejectsUnknownFigure(t *testing.T) {
 	cfg := experiments.Config{MeshSize: 10, FaultCounts: []int{5}, Trials: 1, BaseSeed: 1}
 	churn := experiments.ChurnConfig{MeshSize: 10, Faults: 2, Events: 4, BaseSeed: 1}
 	if _, err := runBenchSweep([]fault.Model{fault.Random}, []int{12}, cfg, churn,
-		[]experiments.Churn3Config{testChurn3Config()}, testRouteConfig(), 1, 0); err == nil {
+		[]experiments.Churn3Config{testChurn3Config()}, nil, testRouteConfig(), 1, 0); err == nil {
 		t.Fatal("figure 12 should be rejected")
 	}
 }
@@ -254,7 +271,7 @@ func TestRunBenchSweepHonorsWorkersCap(t *testing.T) {
 	cfg := experiments.Config{MeshSize: 15, FaultCounts: []int{5}, Trials: 1, BaseSeed: 3}
 	churn := experiments.ChurnConfig{MeshSize: 15, Faults: 2, Events: 4, BaseSeed: 3}
 	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn3Config{testChurn3Config()}, testRouteConfig(), 1, 2)
+		[]experiments.Churn3Config{testChurn3Config()}, nil, testRouteConfig(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

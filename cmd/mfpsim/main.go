@@ -341,7 +341,7 @@ func main() {
 			experiments.DefaultChurn3At(128),
 		}
 		rep, err := runBenchSweepBest(models, figures, cfg, experiments.DefaultChurn(), churn3s,
-			experiments.DefaultRoute(fault.Clustered, *trials), *benchIter, *workers)
+			experiments.ChurnMeshSweep(), experiments.DefaultRoute(fault.Clustered, *trials), *benchIter, *workers)
 		if err != nil {
 			fatal(err)
 		}

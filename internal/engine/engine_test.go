@@ -49,6 +49,17 @@ func checkAgainstRebuild(t *testing.T, snap *engine.Snapshot) {
 	}
 }
 
+// checkEngine is checkAgainstRebuild on the engine's current snapshot
+// plus the engine's fault-index invariants: exactly one key per fault, and
+// every fault's owner component contains it.
+func checkEngine(t *testing.T, e *engine.Engine) {
+	t.Helper()
+	checkAgainstRebuild(t, e.Snapshot())
+	if err := e.CheckOwners(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTorusRejected(t *testing.T) {
 	if _, err := engine.New(grid.NewTorus(8, 8)); err == nil {
 		t.Fatal("torus accepted")
@@ -82,7 +93,7 @@ func TestStaircaseUpAndDown(t *testing.T) {
 		if !e.AddFault(c) {
 			t.Fatalf("add %v reported no change", c)
 		}
-		checkAgainstRebuild(t, e.Snapshot())
+		checkEngine(t, e)
 	}
 	if n := len(e.Snapshot().Polygons()); n != 1 {
 		t.Fatalf("staircase formed %d components, want 1", n)
@@ -91,7 +102,7 @@ func TestStaircaseUpAndDown(t *testing.T) {
 		if !e.ClearFault(c) {
 			t.Fatalf("clear %v reported no change", c)
 		}
-		checkAgainstRebuild(t, e.Snapshot())
+		checkEngine(t, e)
 	}
 	if !e.Snapshot().Faults().Empty() {
 		t.Fatal("faults remain after tearing everything down")
@@ -108,7 +119,7 @@ func TestAddMergesFourComponents(t *testing.T) {
 	if n := len(e.Snapshot().Polygons()); n != 4 {
 		t.Fatalf("%d components before the merge, want 4", n)
 	}
-	checkAgainstRebuild(t, e.Snapshot())
+	checkEngine(t, e)
 
 	e.AddFault(grid.XY(3, 3))
 	snap := e.Snapshot()
@@ -144,9 +155,9 @@ func TestClearLastFaultOfComponent(t *testing.T) {
 	for _, c := range []grid.Coord{grid.XY(2, 2), grid.XY(3, 3), grid.XY(4, 4), grid.XY(3, 2)} {
 		e.AddFault(c)
 	}
-	checkAgainstRebuild(t, e.Snapshot())
+	checkEngine(t, e)
 	e.ClearFault(grid.XY(3, 2))
-	checkAgainstRebuild(t, e.Snapshot())
+	checkEngine(t, e)
 }
 
 func TestDuplicateEvents(t *testing.T) {
@@ -163,7 +174,7 @@ func TestDuplicateEvents(t *testing.T) {
 	if got := e.Snapshot().Version(); got != v {
 		t.Fatalf("no-op events bumped the version: %d -> %d", v, got)
 	}
-	checkAgainstRebuild(t, e.Snapshot())
+	checkEngine(t, e)
 
 	// A batch of pure no-ops applies zero events but still returns the
 	// current snapshot.
@@ -191,11 +202,11 @@ func TestBoundaryFaults(t *testing.T) {
 	}
 	for _, c := range border {
 		e.AddFault(c)
-		checkAgainstRebuild(t, e.Snapshot())
+		checkEngine(t, e)
 	}
 	for _, c := range border {
 		e.ClearFault(c)
-		checkAgainstRebuild(t, e.Snapshot())
+		checkEngine(t, e)
 	}
 }
 
@@ -264,7 +275,7 @@ func TestRandomChurnDifferential(t *testing.T) {
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		checkAgainstRebuild(t, e.Snapshot())
+		checkEngine(t, e)
 	}
 }
 
@@ -330,7 +341,7 @@ func TestConcurrentReadersDuringChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	checkAgainstRebuild(t, e.Snapshot())
+	checkEngine(t, e)
 }
 
 func TestSnapshotSetsAreIndependentOfEngine(t *testing.T) {

@@ -42,8 +42,10 @@ type scheme1 struct {
 	unsafe *nodeset.Set
 
 	// Reusable working memory of Grow/Shrink (the engine serializes block-
-	// model calls under its lock): the visited copy and the coordinate
+	// model calls under its lock): the visited marks and the coordinate
 	// buffers of Shrink's block collection, and propagate's worklist.
+	// seen is empty between calls: Shrink unmarks exactly the block it
+	// marked, so collecting a block costs the block, not the mesh.
 	seen     *nodeset.Set
 	region   []grid.Coord
 	frontier []grid.Coord
@@ -57,9 +59,9 @@ func newScheme1(m grid.Mesh, faults *nodeset.Set, _ *kernel.Scratch[grid.Coord, 
 	return &scheme1{mesh: m, faults: faults, unsafe: nodeset.New(m), seen: nodeset.New(m)}
 }
 
-// Unsafe returns a snapshot copy of the maintained fixpoint; the component
-// list is not needed, the fixpoint is already global.
-func (s *scheme1) Unsafe(_ []*nodeset.Set) *nodeset.Set { return s.unsafe.Clone() }
+// Unsafe returns a snapshot copy of the maintained fixpoint, which is
+// already global.
+func (s *scheme1) Unsafe() *nodeset.Set { return s.unsafe.Clone() }
 
 // blockRuleFires reports whether scheme 1 turns the (currently safe) node
 // unsafe: a faulty or unsafe neighbour in the X dimension and one in the Y
@@ -110,15 +112,14 @@ func (s *scheme1) Shrink(c grid.Coord, _ *nodeset.Set, _ []*nodeset.Set) {
 	// Collect the block containing c. c itself is still unsafe: it was a
 	// fault a moment ago and faults are always unsafe.
 	region := append(s.region[:0], c)
-	s.seen.CopyFrom(s.unsafe)
-	s.seen.Remove(c)
+	s.seen.Add(c)
 	frontier := append(s.frontier[:0], c)
 	var neigh [4]grid.Coord
 	for len(frontier) > 0 {
 		cur := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		for _, n := range s.mesh.Neighbors4(cur, neigh[:0]) {
-			if s.seen.Remove(n) { // unsafe and not yet visited
+			if s.unsafe.Has(n) && s.seen.Add(n) { // unsafe and not yet visited
 				region = append(region, n)
 				frontier = append(frontier, n)
 			}
@@ -126,11 +127,12 @@ func (s *scheme1) Shrink(c grid.Coord, _ *nodeset.Set, _ []*nodeset.Set) {
 	}
 	s.frontier = frontier[:0]
 
-	// Reset the block, re-seed it with its remaining faults, and regrow.
-	// The whole old region goes on the worklist: a node can be due for
-	// re-marking without any neighbour changing first (its unsafe
-	// neighbours may all be re-seeded faults).
+	// Reset the block (and its visited marks), re-seed it with its
+	// remaining faults, and regrow. The whole old region goes on the
+	// worklist: a node can be due for re-marking without any neighbour
+	// changing first (its unsafe neighbours may all be re-seeded faults).
 	for _, n := range region {
+		s.seen.Remove(n)
 		s.unsafe.Remove(n)
 	}
 	queue := s.queue[:0]

@@ -98,6 +98,8 @@ func FuzzApply(f *testing.F) {
 			return
 		} else if err := snap.Validate(); err != nil {
 			t.Fatalf("snapshot invariants broken: %v", err)
+		} else if err := eng.CheckOwners(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

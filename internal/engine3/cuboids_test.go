@@ -70,6 +70,9 @@ func TestCuboidsMatchBatchRandom(t *testing.T) {
 				} else {
 					engine3.Replay(faults, ev)
 					checkAgainstBatch(t, snap, faults, step)
+					if err := e.CheckOwners(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
 				}
 			}
 		})
@@ -98,6 +101,9 @@ func TestCuboidsForcedSchedules(t *testing.T) {
 		}
 		engine3.Replay(faults, ev)
 		checkAgainstBatch(t, snap, faults, step)
+		if err := e.CheckOwners(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 
 	// Three separated components along X on one plane.

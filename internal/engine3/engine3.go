@@ -212,8 +212,8 @@ func (u *cuboids) Shrink(c grid3.Coord, removed *nodeset3.Set, fragments []*node
 	u.metrics.rebuildRows.Add(uint64(rows))
 }
 
-// Unsafe hands the engine a copy of the maintained union; the component
-// list is not needed, the union is already current. (The copy is the
-// publish-time cost — one memcpy — replacing the full re-rasterization of
-// every component the stateless model paid here.)
-func (u *cuboids) Unsafe(_ []*nodeset3.Set) *nodeset3.Set { return u.unsafe.Clone() }
+// Unsafe hands the engine a copy of the maintained union, which is
+// already current. (The copy is the publish-time cost — one memcpy of the
+// union's window — replacing the full re-rasterization of every component
+// the stateless model paid here.)
+func (u *cuboids) Unsafe() *nodeset3.Set { return u.unsafe.Clone() }

@@ -37,6 +37,21 @@ func DefaultChurn() ChurnConfig {
 	return ChurnConfig{MeshSize: 100, Faults: 100, Events: 200, BaseSeed: 1}
 }
 
+// ChurnMeshSweep is the mesh-size sweep of the BENCH records: the default
+// churn's fault count and event count on 100², 512² and 2048² meshes. At
+// a fixed fault count the components stay the same size as the mesh
+// grows, so the per-event cost across the sweep shows how much of it
+// still scales with the mesh rather than with the touched component.
+func ChurnMeshSweep() []ChurnConfig {
+	var out []ChurnConfig
+	for _, n := range []int{100, 512, 2048} {
+		c := DefaultChurn()
+		c.MeshSize = n
+		out = append(out, c)
+	}
+	return out
+}
+
 // Name renders the config as the benchmark workload identity, e.g.
 // "churn/mesh100/faults100/events200/seed1".
 func (c ChurnConfig) Name() string {

@@ -41,6 +41,9 @@ func TestChurn3DifferentialPerEvent(t *testing.T) {
 		if err := Churn3Diff(snap, mfp3d.Build(m, faults)); err != nil {
 			t.Fatalf("event %d (%v): %v", i, ev, err)
 		}
+		if err := eng.CheckOwners(); err != nil {
+			t.Fatalf("event %d (%v): %v", i, ev, err)
+		}
 	}
 }
 
@@ -92,6 +95,9 @@ func TestChurn3DifferentialPerEvent64(t *testing.T) {
 			t.Fatalf("step %d (%v): applied %d, want 1", step, ev, applied)
 		}
 		if err := Churn3Diff(snap, mfp3d.Build(m, faults)); err != nil {
+			t.Fatalf("step %d (%v): %v", step, ev, err)
+		}
+		if err := eng.CheckOwners(); err != nil {
 			t.Fatalf("step %d (%v): %v", step, ev, err)
 		}
 	}

@@ -84,6 +84,9 @@ func TestChurnDifferentialPaperScale(t *testing.T) {
 		if !snap.Faults().Equal(faults) {
 			t.Fatalf("event %d (%v): fault sets diverged", i, ev)
 		}
+		if err := eng.CheckOwners(); err != nil {
+			t.Fatalf("event %d (%v): %v", i, ev, err)
+		}
 		want := core.Construct(m, faults, core.Options{Workers: 1})
 		if len(snap.Polygons()) != len(want.Minimum.Polygons) {
 			t.Fatalf("event %d (%v): %d polygons, rebuild has %d",

@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,7 +67,7 @@ func (e Event[C]) String() string { return fmt.Sprintf("%s%v", e.Op, e.Node) }
 // 3-D analogue is the union of component bounding cuboids, maintained
 // incrementally from per-component bounds. The engine calls Grow/Shrink
 // under its lock right after the fault set changes, and Unsafe at snapshot
-// publication with the current components (index order).
+// publication.
 //
 // Grow and Shrink receive the touched components so stateful models can
 // key per-component state by seed (Set.FirstIndex) instead of rescanning
@@ -85,10 +86,9 @@ type BlockModel[C any, T Topology[C]] interface {
 	// (c still included) and fragments are the components it split into —
 	// empty when c was the component's last fault.
 	Shrink(c C, removed *Set[C, T], fragments []*Set[C, T])
-	// Unsafe returns a fresh unsafe set for the current state; comps are
-	// the current faulty components in seed order. The result is owned by
-	// the caller (it is published in an immutable snapshot).
-	Unsafe(comps []*Set[C, T]) *Set[C, T]
+	// Unsafe returns a fresh unsafe set for the current state. The result
+	// is owned by the caller (it is published in an immutable snapshot).
+	Unsafe() *Set[C, T]
 }
 
 // entry is the engine's cache line: one faulty component and its minimum
@@ -111,6 +111,15 @@ type entry[C any, T Topology[C]] struct {
 	published bool
 }
 
+// owner is the stable handle through which the fault index finds a
+// fault's component. Entries are immutable and replaced on every change,
+// so the index maps each fault to an owner and the owner to the current
+// entry: a merge keeps the largest merged component's owner and relabels
+// only the smaller components' faults, and a split keeps the owner for
+// the largest fragment, so relabelling costs the smaller pieces, never
+// the mesh or the component count.
+type owner[C any, T Topology[C]] struct{ en *entry[C, T] }
+
 // Engine maintains the fault-region constructions under a stream of fault
 // events. All methods are safe for concurrent use: mutations serialize on
 // an internal lock while Snapshot is wait-free.
@@ -123,6 +132,9 @@ type Engine[C any, T Topology[C]] struct {
 	blocks  BlockModel[C, T]
 	entries []*entry[C, T] // sorted by seed
 	version uint64         // counts applied (state-changing) events
+	// owners maps every fault's dense index to its component's owner; it
+	// holds exactly one key per fault.
+	owners map[int]*owner[C, T]
 
 	// Reusable working memory of the apply path, all guarded by mu: the
 	// geometry scratch (flood bookkeeping, span tables, set free list) and
@@ -130,11 +142,14 @@ type Engine[C any, T Topology[C]] struct {
 	// allocating; see BenchmarkEngineApplyAllocs.
 	scr         *Scratch[C, T]
 	neigh       []C
-	neighIdx    []int
-	merged      []*entry[C, T]
+	merged      []*owner[C, T]
 	mergedSets  []*Set[C, T]
-	deadOne     [1]*entry[C, T]
 	freeEntries []*entry[C, T]
+	freeOwners  []*owner[C, T]
+	// relabel points every index it is called with at relabelTo; it is
+	// bound once so EachIndex walks do not allocate a closure per event.
+	relabel   func(int)
+	relabelTo *owner[C, T]
 
 	snap atomic.Pointer[Snapshot[C, T]]
 }
@@ -154,10 +169,12 @@ func NewEngine[C any, T Topology[C]](mesh T, blocks func(T, *Set[C, T], *Scratch
 		mesh:    mesh,
 		metrics: newEngineMetrics(mesh.Axes()),
 		faults:  NewSet[C](mesh),
+		owners:  make(map[int]*owner[C, T]),
 		scr:     NewScratch[C](mesh),
 	}
+	e.relabel = func(i int) { e.owners[i] = e.relabelTo }
 	e.blocks = blocks(mesh, e.faults, e.scr)
-	e.publish(true)
+	e.publish()
 	return e, nil
 }
 
@@ -243,14 +260,12 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	hadClear := false
 	for _, ev := range events {
 		changed := false
 		if ev.Op == Add {
 			changed = e.addLocked(ev.Node)
 		} else {
 			changed = e.clearLocked(ev.Node)
-			hadClear = hadClear || changed
 		}
 		if changed {
 			e.version++
@@ -259,7 +274,7 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 	}
 	if applied > 0 {
 		e.metrics.eventsApplied.Add(uint64(applied))
-		e.publish(hadClear)
+		e.publish()
 	}
 	return applied, e.snap.Load(), nil
 }
@@ -272,41 +287,58 @@ func (e *Engine[C, T]) addLocked(c C) bool {
 		return false
 	}
 
-	// The components the new fault touches are those owning one of its
-	// adjacent nodes. Component node sets are disjoint, so collecting
-	// owners over the few neighbours finds each at most once per
-	// neighbour. Neighbour indices are resolved once up front: the
-	// entries×neighbours probe loop is the arrival hot path.
+	// The components the new fault touches are the owners of its faulty
+	// neighbours, looked up in the fault index; the largest keeps its
+	// owner handle.
+	ci := e.mesh.Index(c)
 	e.neigh = e.mesh.Adjacent(c, e.neigh[:0])
-	e.neighIdx = e.neighIdx[:0]
-	for _, n := range e.neigh {
-		e.neighIdx = append(e.neighIdx, e.mesh.Index(n))
-	}
 	merged := e.merged[:0]
-	for _, en := range e.entries {
-		for _, i := range e.neighIdx {
-			if en.nodes.HasIndex(i) {
-				merged = append(merged, en)
-				break
-			}
+	var keep *owner[C, T]
+	for _, n := range e.neigh {
+		o := e.owners[e.mesh.Index(n)]
+		if o == nil || slices.Contains(merged, o) {
+			continue
+		}
+		merged = append(merged, o)
+		if keep == nil || o.en.nodes.Len() > keep.en.nodes.Len() {
+			keep = o
 		}
 	}
 
 	nodes := e.scr.take(e.mesh)
-	nodes.AddIndex(e.mesh.Index(c))
 	e.mergedSets = e.mergedSets[:0]
-	for _, en := range merged {
-		nodes.UnionWith(en.nodes)
-		e.mergedSets = append(e.mergedSets, en.nodes)
+	if keep != nil {
+		nodes.CopyFrom(keep.en.nodes)
 	}
-	// The block model sees the merge before removeEntries may recycle the
+	for _, o := range merged {
+		if o != keep {
+			nodes.UnionWith(o.en.nodes)
+		}
+		e.mergedSets = append(e.mergedSets, o.en.nodes)
+	}
+	nodes.AddIndex(ci)
+	// The block model sees the merge before removeEntry may recycle the
 	// replaced components' sets: Grow's contract is that merged/result are
 	// readable only during the call.
 	e.blocks.Grow(c, e.mergedSets, nodes)
-	e.removeEntries(merged)
+	if keep == nil {
+		keep = e.newOwner()
+	}
+	e.relabelTo = keep
+	for _, o := range merged {
+		en := o.en
+		if o != keep {
+			en.nodes.EachIndex(e.relabel)
+			e.freeOwner(o)
+		}
+		e.removeEntry(en)
+	}
+	e.owners[ci] = keep
+	clear(merged)
 	e.merged = merged[:0]
 	poly, passes := e.scr.Closure(nodes)
-	e.insertEntry(e.newEntry(nodes, poly))
+	keep.en = e.newEntry(nodes, poly)
+	e.insertEntry(keep.en)
 	e.metrics.componentsTouched.Add(uint64(len(merged)) + 1)
 	e.metrics.closures.Inc()
 	e.metrics.closurePasses.Add(uint64(passes))
@@ -322,38 +354,65 @@ func (e *Engine[C, T]) clearLocked(c C) bool {
 	}
 
 	ci := e.mesh.Index(c)
-	var owner *entry[C, T]
-	for _, en := range e.entries {
-		if en.nodes.HasIndex(ci) {
-			owner = en
-			break
-		}
-	}
-	if owner == nil {
+	own := e.owners[ci]
+	if own == nil {
 		// Unreachable: every fault is in exactly one component.
 		panic(fmt.Sprintf("engine: fault %v has no component", c))
 	}
-	// Copy the component before removeEntries may recycle its sets.
+	delete(e.owners, ci)
+	dying := own.en
+	// Copy the component before removeEntry may recycle its sets.
 	remaining := e.scr.take(e.mesh)
-	remaining.CopyFrom(owner.nodes)
+	remaining.CopyFrom(dying.nodes)
 	remaining.RemoveIndex(ci)
 	fragments := e.scr.Regions(remaining)
 	// The block model sees the split while the dying component's set is
 	// still intact: Shrink's contract is that removed/fragments are
 	// readable only during the call.
-	e.blocks.Shrink(c, owner.nodes, fragments)
-	e.deadOne[0] = owner
-	e.removeEntries(e.deadOne[:])
-	e.deadOne[0] = nil
+	e.blocks.Shrink(c, dying.nodes, fragments)
+	e.removeEntry(dying)
 	e.metrics.componentsTouched.Inc()
-	for _, region := range fragments {
+	largest := 0
+	for i, region := range fragments {
+		if region.Len() > fragments[largest].Len() {
+			largest = i
+		}
+	}
+	if len(fragments) == 0 {
+		e.freeOwner(own)
+	}
+	for i, region := range fragments {
 		poly, passes := e.scr.Closure(region)
-		e.insertEntry(e.newEntry(region, poly))
+		en := e.newEntry(region, poly)
+		e.insertEntry(en)
+		if i == largest {
+			own.en = en
+		} else {
+			e.relabelTo = e.newOwner()
+			e.relabelTo.en = en
+			region.EachIndex(e.relabel)
+		}
 		e.metrics.closures.Inc()
 		e.metrics.closurePasses.Add(uint64(passes))
 	}
 	e.scr.put(remaining)
 	return true
+}
+
+// newOwner returns a fresh owner handle, recycled when possible.
+func (e *Engine[C, T]) newOwner() *owner[C, T] {
+	if n := len(e.freeOwners); n > 0 {
+		o := e.freeOwners[n-1]
+		e.freeOwners = e.freeOwners[:n-1]
+		return o
+	}
+	return &owner[C, T]{}
+}
+
+// freeOwner recycles a handle no fault maps to any more.
+func (e *Engine[C, T]) freeOwner(o *owner[C, T]) {
+	o.en = nil
+	e.freeOwners = append(e.freeOwners, o)
 }
 
 // newEntry builds an entry around a component and its polygon, recycling
@@ -369,45 +428,29 @@ func (e *Engine[C, T]) newEntry(nodes, poly *Set[C, T]) *entry[C, T] {
 	return &entry[C, T]{nodes: nodes, poly: poly, seed: nodes.FirstIndex()}
 }
 
-// removeEntries deletes the given entries from the sorted slice,
-// preserving the order of the survivors.
-func (e *Engine[C, T]) removeEntries(dead []*entry[C, T]) {
-	if len(dead) == 0 {
+// removeEntry deletes en from the seed-sorted slice by binary search on
+// its seed, preserving the order of the survivors.
+func (e *Engine[C, T]) removeEntry(en *entry[C, T]) {
+	i := sort.Search(len(e.entries), func(i int) bool { return e.entries[i].seed >= en.seed })
+	if i == len(e.entries) || e.entries[i] != en {
+		panic(fmt.Sprintf("engine: entry with seed %d not in the cache", en.seed))
+	}
+	copy(e.entries[i:], e.entries[i+1:])
+	e.entries[len(e.entries)-1] = nil
+	e.entries = e.entries[:len(e.entries)-1]
+	// An entry replaced within the batch that created it was never shared
+	// with a snapshot: its sets go back to the scratch free list and the
+	// struct to the entry free list. Published entries stay referenced by
+	// snapshots and are simply dropped.
+	if en.published {
 		return
 	}
-	isDead := func(en *entry[C, T]) bool {
-		for _, d := range dead {
-			if en == d {
-				return true
-			}
-		}
-		return false
+	if en.poly != en.nodes {
+		e.scr.put(en.poly)
 	}
-	kept := e.entries[:0]
-	for _, en := range e.entries {
-		if !isDead(en) {
-			kept = append(kept, en)
-		}
-	}
-	for i := len(kept); i < len(e.entries); i++ {
-		e.entries[i] = nil
-	}
-	e.entries = kept
-	// Entries replaced within the batch that created them were never
-	// shared with a snapshot: their sets go back to the scratch free list
-	// and the structs to the entry free list. Published entries stay
-	// referenced by snapshots and are simply dropped.
-	for _, en := range dead {
-		if en.published {
-			continue
-		}
-		if en.poly != en.nodes {
-			e.scr.put(en.poly)
-		}
-		e.scr.put(en.nodes)
-		*en = entry[C, T]{}
-		e.freeEntries = append(e.freeEntries, en)
-	}
+	e.scr.put(en.nodes)
+	*en = entry[C, T]{}
+	e.freeEntries = append(e.freeEntries, en)
 }
 
 // insertEntry places en at its seed-sorted position, keeping the entry
@@ -420,52 +463,83 @@ func (e *Engine[C, T]) insertEntry(en *entry[C, T]) {
 	e.entries[i] = en
 }
 
+// CheckOwners verifies the fault index: it holds exactly one key per
+// fault, and every fault's owner is a cached component containing that
+// fault. The differential tests run it after every event.
+func (e *Engine[C, T]) CheckOwners() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.owners) != e.faults.Len() {
+		return fmt.Errorf("engine: fault index holds %d keys for %d faults", len(e.owners), e.faults.Len())
+	}
+	live := make(map[*entry[C, T]]bool, len(e.entries))
+	for _, en := range e.entries {
+		live[en] = true
+	}
+	var err error
+	e.faults.EachIndex(func(i int) {
+		o := e.owners[i]
+		switch {
+		case err != nil:
+		case o == nil:
+			err = fmt.Errorf("engine: fault %v has no owner", e.mesh.CoordAt(i))
+		case !live[o.en]:
+			err = fmt.Errorf("engine: fault %v owned by a dropped component", e.mesh.CoordAt(i))
+		case !o.en.nodes.HasIndex(i):
+			err = fmt.Errorf("engine: fault %v owned by a component without it", e.mesh.CoordAt(i))
+		}
+	})
+	return err
+}
+
 // publish builds the immutable snapshot for the current state and makes it
 // the one Snapshot returns. Polygons and components are shared with the
 // cache (and with every previous snapshot that saw the same component);
 // only the fault set, the disabled union and the block model's unsafe set
 // are fresh.
 //
-// The disabled union was the profiled hot spot of the whole apply path
-// (the per-entry OR with per-word popcounts dominated event application on
-// meshes with many components), so it is built with count-free ORs and a
-// single recount — and for batches that only added faults it starts from
-// the previous snapshot's union instead of from scratch: the closure is
-// monotone, so the polygon of every component replaced by a merge is
-// contained in the merged polygon, and only unpublished (new) polygons
-// need ORing on top. Any applied clear can shrink the union and forces the
-// full rebuild.
+// Components and polygons published for the first time are trimmed to
+// their windows, so a component costs its own extent rather than the
+// scratch array it was built in; the arrays they leave go back to the
+// scratch pool. The disabled union is rebuilt from the polygon windows
+// with count-free ORs into a set sized once to their union, and one
+// recount: O(components + union window), independent of how the batch
+// changed the state.
 //
-//mfplint:owned publish is the one legitimate snapshot writer: it mutates s (and clones prev) strictly before e.snap.Store makes s visible, so no reader can observe the writes.
-func (e *Engine[C, T]) publish(hadClear bool) {
+//mfplint:owned publish is the one legitimate snapshot writer: it mutates s (and trims entry sets no snapshot holds yet) strictly before e.snap.Store makes them visible, so no reader can observe the writes.
+func (e *Engine[C, T]) publish() {
 	s := &Snapshot[C, T]{
 		mesh:     e.mesh,
 		version:  e.version,
 		faults:   e.faults.Clone(),
 		comps:    make([]*Set[C, T], len(e.entries)),
 		polygons: make([]*Set[C, T], len(e.entries)),
+		disabled: NewSet[C](e.mesh),
 	}
-	prev := e.snap.Load()
-	if prev != nil && !hadClear {
-		s.disabled = prev.disabled.Clone()
-		for _, en := range e.entries {
-			if !en.published {
-				s.disabled.orWithNoCount(en.poly)
-			}
-		}
-	} else {
-		s.disabled = NewSet[C](e.mesh)
-		for _, en := range e.entries {
-			s.disabled.orWithNoCount(en.poly)
-		}
-	}
-	s.disabled.recount()
+	lo, hi := 0, 0
 	for i, en := range e.entries {
+		if !en.published {
+			e.scr.recycle(en.nodes.trim())
+			if en.poly != en.nodes {
+				e.scr.recycle(en.poly.trim())
+			}
+			en.published = true
+		}
 		s.comps[i] = en.nodes
 		s.polygons[i] = en.poly
-		en.published = true
+		if i == 0 || en.poly.off < lo {
+			lo = en.poly.off
+		}
+		hi = max(hi, en.poly.off+len(en.poly.words))
 	}
-	s.unsafe = e.blocks.Unsafe(s.comps)
+	if hi > lo {
+		s.disabled.grow(lo, hi)
+	}
+	for _, p := range s.polygons {
+		s.disabled.orWithNoCount(p)
+	}
+	s.disabled.recount()
+	s.unsafe = e.blocks.Unsafe()
 	e.snap.Store(s)
 	e.metrics.publishes.Inc()
 }

@@ -102,10 +102,12 @@ func lineSpans[C any, T Topology[C]](s *Set[C, T], axis int, scr *Scratch[C, T])
 		return nil, nil, sparse
 	}
 
-	// Contiguous axis, set dense relative to the mesh: extract each line's
-	// span with whole-word scans instead of per-bit division.
+	// Contiguous axis, set dense relative to its window: extract the span
+	// of each line meeting the window with whole-word scans instead of
+	// per-bit division.
 	if st == 1 && len(s.words) <= 2*s.Len() {
-		for k := 0; k < lines; k++ {
+		wlo, whi := s.content()
+		for k := wlo << 6 / L; k < lines && k*L < whi<<6; k++ {
 			base := k * L
 			lo, hi, count := s.SpanOfRange(base, base+L)
 			if count == 0 {
@@ -126,7 +128,7 @@ func lineSpans[C any, T Topology[C]](s *Set[C, T], axis int, scr *Scratch[C, T])
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
-			i := w<<6 | b
+			i := (s.off+w)<<6 | b
 			q := i / st
 			r := i - q*st
 			d := q / L
@@ -323,8 +325,10 @@ func regionsWith[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge b
 
 // regionsFast floods components over the dense index space directly: the
 // frontier is an index stack, neighbour candidacy is a handful of masked
-// word probes, and no Topology method is called per node. The seed scan
-// walks s's words in order, so regions come out in the same deterministic
+// word probes, and no Topology method is called per node. Every
+// component lies inside s's window, so the seen bitmap covers just that
+// window and a probe outside it is simply a miss. The seed scan walks s's
+// words in order, so regions come out in the same deterministic
 // index-order seed order as the per-neighbour walk.
 func regionsFast[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge bool) []*Set[C, T] {
 	t := s.Mesh()
@@ -338,7 +342,7 @@ func regionsFast[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge b
 		lenZ = t.AxisLen(2)
 	}
 
-	sw := s.words
+	sw, off := s.words, s.off
 	var seenW []uint64
 	var stack []int
 	var out []*Set[C, T]
@@ -347,15 +351,14 @@ func regionsFast[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge b
 			scr.seenWords = make([]uint64, len(sw))
 		}
 		seenW = scr.seenWords[:len(sw)]
-		for i := range seenW {
-			seenW[i] = 0
-		}
+		clear(seenW)
 		stack = scr.stack[:0]
 		out = scr.regions[:0]
 	} else {
 		seenW = make([]uint64, len(sw))
 	}
 
+	var cand [26]int
 	for w0 := range sw {
 		for {
 			rem := sw[w0] &^ seenW[w0]
@@ -363,7 +366,7 @@ func regionsFast[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge b
 				break
 			}
 			b := bits.TrailingZeros64(rem)
-			seed := w0<<6 | b
+			seed := (off+w0)<<6 | b
 			seenW[w0] |= 1 << b
 			region := scr.take(t)
 			region.AddIndex(seed)
@@ -375,106 +378,43 @@ func regionsFast[C any, T Topology[C]](s *Set[C, T], scr *Scratch[C, T], merge b
 				q := i / W
 				y := q % lenY
 				z := q / lenY
+				nc := 0
 				if merge {
-					dzlo, dzhi := 0, 0
-					if z > 0 {
-						dzlo = -1
-					}
-					if z < lenZ-1 {
-						dzhi = 1
-					}
-					dylo, dyhi := 0, 0
-					if y > 0 {
-						dylo = -1
-					}
-					if y < lenY-1 {
-						dyhi = 1
-					}
-					dxlo, dxhi := 0, 0
-					if x > 0 {
-						dxlo = -1
-					}
-					if x < W-1 {
-						dxhi = 1
-					}
+					dzlo, dzhi := max(-1, -z), min(1, lenZ-1-z)
+					dylo, dyhi := max(-1, -y), min(1, lenY-1-y)
+					dxlo, dxhi := max(-1, -x), min(1, W-1-x)
 					for dz := dzlo; dz <= dzhi; dz++ {
 						for dy := dylo; dy <= dyhi; dy++ {
 							rowBase := i + dz*stZ + dy*stY
 							for dx := dxlo; dx <= dxhi; dx++ {
-								if dx == 0 && dy == 0 && dz == 0 {
-									continue
-								}
-								j := rowBase + dx
-								wj, bj := j>>6, uint64(1)<<(j&63)
-								if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-									seenW[wj] |= bj
-									region.words[wj] |= bj
-									region.n++
-									stack = append(stack, j)
+								if dx != 0 || dy != 0 || dz != 0 {
+									cand[nc] = rowBase + dx
+									nc++
 								}
 							}
 						}
 					}
 				} else {
-					if x > 0 {
-						j := i - 1
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
+					for _, c := range [...]struct {
+						ok bool
+						j  int
+					}{
+						{x > 0, i - 1}, {x < W-1, i + 1},
+						{y > 0, i - stY}, {y < lenY-1, i + stY},
+						{z > 0, i - stZ}, {z < lenZ-1, i + stZ},
+					} {
+						if c.ok {
+							cand[nc] = c.j
+							nc++
 						}
 					}
-					if x < W-1 {
-						j := i + 1
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
-						}
-					}
-					if y > 0 {
-						j := i - stY
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
-						}
-					}
-					if y < lenY-1 {
-						j := i + stY
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
-						}
-					}
-					if z > 0 {
-						j := i - stZ
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
-						}
-					}
-					if z < lenZ-1 {
-						j := i + stZ
-						wj, bj := j>>6, uint64(1)<<(j&63)
-						if sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
-							seenW[wj] |= bj
-							region.words[wj] |= bj
-							region.n++
-							stack = append(stack, j)
-						}
+				}
+				for _, j := range cand[:nc] {
+					wj, bj := j>>6-off, uint64(1)<<(j&63)
+					if uint(wj) < uint(len(sw)) && sw[wj]&bj != 0 && seenW[wj]&bj == 0 {
+						seenW[wj] |= bj
+						region.AddIndex(j)
+						stack = append(stack, j)
 					}
 				}
 			}

@@ -154,8 +154,8 @@ func TestEventWireFormat(t *testing.T) {
 // split on clear, deterministic component order, validated snapshots.
 func TestEngineGeneric3D(t *testing.T) {
 	m := grid3.New(6, 6, 6)
-	eng, err := kernel.NewEngine(m, func(mesh grid3.Mesh, _ *kernel.Set[grid3.Coord, grid3.Mesh], _ *kernel.Scratch[grid3.Coord, grid3.Mesh]) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
-		return boxModel{mesh}
+	eng, err := kernel.NewEngine(m, func(_ grid3.Mesh, faults *kernel.Set[grid3.Coord, grid3.Mesh], _ *kernel.Scratch[grid3.Coord, grid3.Mesh]) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
+		return boxModel{faults}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,19 +181,19 @@ func TestEngineGeneric3D(t *testing.T) {
 	}
 }
 
-type boxModel struct{ mesh grid3.Mesh }
+type boxModel struct {
+	faults *kernel.Set[grid3.Coord, grid3.Mesh]
+}
 
 func (boxModel) Grow(grid3.Coord, []*kernel.Set[grid3.Coord, grid3.Mesh], *kernel.Set[grid3.Coord, grid3.Mesh]) {
 }
 func (boxModel) Shrink(grid3.Coord, *kernel.Set[grid3.Coord, grid3.Mesh], []*kernel.Set[grid3.Coord, grid3.Mesh]) {
 }
-func (b boxModel) Unsafe(comps []*kernel.Set[grid3.Coord, grid3.Mesh]) *kernel.Set[grid3.Coord, grid3.Mesh] {
-	out := kernel.NewSet[grid3.Coord](b.mesh)
-	for _, c := range comps {
-		out.UnionWith(c)
-	}
-	// The polytope may exceed the raw component union; cover it so
-	// Validate's MFP ⊆ FB check holds in this toy model.
-	closed, _ := kernel.Closure(out)
+
+// Unsafe covers every polytope with the closure of the whole fault set
+// (the union of the components), so Validate's MFP ⊆ FB check holds in
+// this toy model.
+func (b boxModel) Unsafe() *kernel.Set[grid3.Coord, grid3.Mesh] {
+	closed, _ := kernel.Closure(b.faults)
 	return closed
 }

@@ -71,6 +71,14 @@ func (scr *Scratch[C, T]) put(s *Set[C, T]) {
 	}
 }
 
+// recycle returns a zeroed backing array left behind by Set.trim to the
+// free list as an empty set. A nil scratch or array is a no-op.
+func (scr *Scratch[C, T]) recycle(buf []uint64) {
+	if scr != nil && buf != nil && len(scr.pool) < maxPooledSets {
+		scr.pool = append(scr.pool, &Set[C, T]{topo: scr.topo, buf: buf, words: buf[:0]})
+	}
+}
+
 func (scr *Scratch[C, T]) check(s *Set[C, T]) {
 	if scr != nil && scr.topo != s.topo {
 		panic("kernel: scratch over a different mesh")

@@ -13,9 +13,12 @@
 //     (8 neighbours in 2-D, 26 in 3-D), and a per-axis decomposition that
 //     lets the orthogonal-convexity machinery treat "rows and columns" as
 //     "axis lines" in any dimension.
-//   - Set[C, T] is the dense bitset over a topology that every fault-region
-//     algorithm manipulates; internal/nodeset and internal/nodeset3 are its
-//     2-D and 3-D instantiations.
+//   - Set[C, T] is the bitset over a topology that every fault-region
+//     algorithm manipulates. It keeps the mesh's row-major word layout but
+//     stores only a window of it, from the first to the last possibly-set
+//     word, so a small component costs its own extent rather than the
+//     mesh; internal/nodeset and internal/nodeset3 are its 2-D and 3-D
+//     instantiations.
 //   - Regions, Closure, FillOnce and IsOrthoConvex express the component
 //     merge and the orthogonal convex closure once. The closure iterates
 //     axis fills to a fixpoint: in 2-D one pass always suffices for
@@ -75,7 +78,10 @@ type Topology[C any] interface {
 	// with axis 0 contiguous (stride 1) and stride(a+1) =
 	// stride(a)*AxisLen(a) — i.e. row-major layout. The word-parallel
 	// geometry kernels rely on this contract to turn coordinate walks into
-	// index arithmetic and whole-word bitset operations.
+	// index arithmetic and whole-word bitset operations, and Set's word
+	// window relies on it to bound a region by its first and last index:
+	// every node of a connected region, and every node its closure adds,
+	// lies between the two.
 	AxisStride(axis int) int
 	// Wraps reports whether the topology has wraparound links (a torus).
 	// The word-level flood in Regions assumes non-wrapping axis lines and

@@ -31,7 +31,7 @@ var setMutators = map[string]bool{
 	"Clear": true, "CopyFrom": true, "FillRange": true, "ClearRange": true,
 	"UnionWith":     true,
 	"IntersectWith": true, "SubtractWith": true, "orWithNoCount": true,
-	"recount": true,
+	"recount": true, "grow": true, "trim": true,
 }
 
 // SnapshotMut is the snapshot-immutability analyzer.
