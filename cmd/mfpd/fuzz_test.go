@@ -7,17 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/shard"
 )
 
 // FuzzHandleEvents throws arbitrary bodies at the events endpoint of a
-// live handler: every request must settle as 200 or 400 (the mesh exists
-// and nothing administrative races), the service must never panic, and a
-// mesh that accepted a batch must still satisfy the snapshot invariants.
+// live handler, once on an 8×8 2-D mesh and once on an 8×8×8 3-D mesh:
+// every request must settle as 200, 400 or 413 (the meshes exist and
+// nothing administrative races), the service must never panic, and a mesh
+// that accepted a batch must still satisfy the snapshot invariants.
 func FuzzHandleEvents(f *testing.F) {
 	// Seeded corpus mirroring the decoder corpus plus mesh-boundary cases:
-	// truncated JSON, out-of-bounds coordinates for the 8×8 test mesh, and
-	// duplicate add/clear churn.
+	// truncated JSON, out-of-bounds coordinates for the 8×8 test meshes,
+	// duplicate add/clear churn, and 3-D events with a valid, missing and
+	// out-of-range z.
 	for _, seed := range []string{
 		`[]`,
 		`[{"op":"add","x":3,"y":4}]`,
@@ -32,6 +36,9 @@ func FuzzHandleEvents(f *testing.F) {
 		`{"not":"an array"}`,
 		`null`,
 		"",
+		`[{"op":"add","x":3,"y":4,"z":5},{"op":"add","x":4,"y":5,"z":6},{"op":"clear","x":3,"y":4,"z":5}]`,
+		`[{"op":"add","x":3,"y":4,"z":5},{"op":"add","x":3,"y":4}]`,
+		`[{"op":"add","x":3,"y":4,"z":8}]`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -41,27 +48,36 @@ func FuzzHandleEvents(f *testing.F) {
 		// archived reproducer alone replays the failure, with no hidden
 		// state accumulated from earlier inputs.
 		mgr := shard.NewManager(shard.Config{})
-		if _, err := mgr.Create("m", grid.New(8, 8)); err != nil {
-			t.Fatal(err)
-		}
 		defer mgr.Close()
+		flat, err := mgr.Create("flat", grid.New(8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cube, err := mgr.Create3("cube", grid3.New(8, 8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv := newServer(mgr)
-		req := httptest.NewRequest(http.MethodPost, "/meshes/m/events", bytes.NewReader(data))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("body %q: status %d, want 200, 400 or 413", data, rec.Code)
-		}
-		sh, err := mgr.Get("m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := sh.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.Snapshot.Validate(); err != nil {
-			t.Fatalf("snapshot invariants broken after body %q: %v", data, err)
-		}
+		postFuzzEvents(t, srv, flat, data)
+		postFuzzEvents(t, srv, cube, data)
 	})
+}
+
+// postFuzzEvents posts one fuzz body to the mesh's events endpoint and
+// checks the reply status and the mesh's snapshot invariants.
+func postFuzzEvents[C any, T kernel.Topology[C]](t *testing.T, srv *server, sh *shard.Shard[C, T], data []byte) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/meshes/"+sh.Name()+"/events", bytes.NewReader(data))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s, body %q: status %d, want 200, 400 or 413", sh.Mesh(), data, rec.Code)
+	}
+	v, err := sh.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Snapshot.Validate(); err != nil {
+		t.Fatalf("%s: snapshot invariants broken after body %q: %v", sh.Mesh(), data, err)
+	}
 }

@@ -36,10 +36,8 @@
 //	                                    (docs/METRICS.md documents every family)
 //	GET    /healthz                     -> 200 ok
 //
-// The pre-versioning unversioned paths (/meshes...) keep answering with
-// identical bodies for one release, marked by a "Deprecation: true"
-// response header. Routing (POST /v1/meshes/a/route) is 2-D-only and
-// answers 404 on a 3-D mesh.
+// Routing (POST /v1/meshes/a/route) is 2-D-only and answers 404 on a 3-D
+// mesh.
 //
 // With -data-dir set, every acknowledged event batch is appended to a
 // per-mesh write-ahead log and fsynced before the reply, logs are

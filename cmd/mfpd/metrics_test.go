@@ -35,8 +35,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"engine_events_applied_total", []string{"2"}, 3},
 		{"shard_batches_total", nil, 1},
 		{"routing_routes_total", []string{"ok"}, 1},
-		{"mfpd_http_requests_total", []string{"/meshes/{name}/events", "2xx"}, 1},
-		{"mfpd_http_request_seconds", []string{"/meshes/{name}/route"}, 1}, // histogram: Value is its count
+		{"mfpd_http_requests_total", []string{"/v1/meshes/{name}/events", "2xx"}, 1},
+		{"mfpd_http_request_seconds", []string{"/v1/meshes/{name}/route"}, 1}, // histogram: Value is its count
 	}
 	before := make([]float64, len(watched))
 	for i, w := range watched {
@@ -58,7 +58,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, resp := postEvents(t, ts, "m", faultCluster()); resp.StatusCode != 200 {
 		t.Fatalf("events: %d", resp.StatusCode)
 	}
-	resp := postJSON(t, ts.URL+"/meshes/m/route",
+	resp := postJSON(t, ts.URL+"/v1/meshes/m/route",
 		[]byte(`{"src":{"x":0,"y":0},"dst":{"x":15,"y":15}}`))
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
@@ -86,8 +86,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`engine_events_applied_total{dim="2"}`,
 		"# TYPE shard_batches_total counter",
 		`routing_routes_total{outcome="ok"}`,
-		`mfpd_http_requests_total{route="/meshes/{name}/events",code="2xx"}`,
-		`mfpd_http_request_seconds_bucket{route="/meshes/{name}/route",le="+Inf"}`,
+		`mfpd_http_requests_total{route="/v1/meshes/{name}/events",code="2xx"}`,
+		`mfpd_http_request_seconds_bucket{route="/v1/meshes/{name}/route",le="+Inf"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
@@ -104,7 +104,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	log := logBuf.String()
-	for _, want := range []string{"route=/meshes/{name}/events", "mesh=m", "request_id=r"} {
+	for _, want := range []string{"route=/v1/meshes/{name}/events", "mesh=m", "request_id=r"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("request log missing %q in:\n%s", want, log)
 		}
@@ -124,15 +124,12 @@ func faultCluster() []engine.Event {
 // into the fixed route-pattern vocabulary.
 func TestRoutePatternBoundsCardinality(t *testing.T) {
 	cases := map[string]string{
-		"/healthz":                  "/healthz",
-		"/metrics":                  "/metrics",
-		"/meshes":                   "/meshes",
-		"/meshes/":                  "/meshes",
-		"/meshes/a":                 "/meshes/{name}",
-		"/meshes/a/events":          "/meshes/{name}/events",
-		"/meshes/a/route":           "/meshes/{name}/route",
-		"/meshes/a/bogus":           "other",
-		"/meshes/a/events/extra":    "other",
+		"/healthz": "/healthz",
+		"/metrics": "/metrics",
+		// The pre-versioning paths are unknown routes like any other.
+		"/meshes":                   "other",
+		"/meshes/a":                 "other",
+		"/meshes/a/events":          "other",
 		"/totally/made/up":          "other",
 		"/":                         "other",
 		"/v1/meshes":                "/v1/meshes",

@@ -10,10 +10,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/grid3"
-	"repro/internal/nodeset"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/shard"
@@ -64,14 +63,10 @@ const (
 //	POST   /v1/meshes/{name}/route        route messages around the polygons
 //	GET    /v1/meshes/{name}/stats        shard + construction metrics
 //
-// The pre-versioning paths (/meshes...) answer identically for one
-// release, marked with a "Deprecation: true" response header; new clients
-// must use /v1.
-//
 // Route queries are served from a routing planner memoized per shard
 // version (see shard.Shard.Planner): concurrent queries at one fault state
 // share the preprocessing, and the next fault event invalidates it. The
-// per-shard cache hit rate is part of /meshes/{name}/stats.
+// per-shard cache hit rate is part of /v1/meshes/{name}/stats.
 type server struct {
 	mgr *shard.Manager
 	// routeSem is the server-wide budget of batch-routing workers (one
@@ -114,37 +109,17 @@ func (s *server) releaseRouteWorkers(n int) {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1"); ok && (rest == "" || rest[0] == '/') {
-		s.serveAPI(w, r, rest)
-		return
-	}
-	switch {
-	case r.URL.Path == "/healthz":
+	switch path := r.URL.Path; {
+	case path == "/healthz":
 		s.handleHealthz(w, r)
-	case r.URL.Path == "/metrics":
+	case path == "/metrics":
 		obs.Default.Handler().ServeHTTP(w, r)
-	case r.URL.Path == "/meshes" || strings.HasPrefix(r.URL.Path, "/meshes/"):
-		// Pre-versioning alias: same handlers, same bodies, flagged as
-		// deprecated so clients migrate to /v1 before the alias is removed.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/meshes>; rel="successor-version"`)
-		s.serveAPI(w, r, r.URL.Path)
-	default:
-		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", r.URL.Path)
-	}
-}
-
-// serveAPI dispatches the versioned API surface. path is the request path
-// with any /v1 prefix already removed, so /v1 traffic and the deprecated
-// unversioned alias share one code path and cannot drift apart.
-func (s *server) serveAPI(w http.ResponseWriter, r *http.Request, path string) {
-	switch {
-	case path == "/meshes" || path == "/meshes/":
+	case path == "/v1/meshes" || path == "/v1/meshes/":
 		s.handleMeshes(w, r)
-	case strings.HasPrefix(path, "/meshes/"):
-		s.handleMesh(w, r, strings.TrimPrefix(path, "/meshes/"))
+	case strings.HasPrefix(path, "/v1/meshes/"):
+		s.handleMesh(w, r, strings.TrimPrefix(path, "/v1/meshes/"))
 	default:
-		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", r.URL.Path)
+		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", path)
 	}
 }
 
@@ -295,9 +270,10 @@ func (s *server) handleMeshes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMesh routes /v1/meshes/{name}[/...]: DELETE on the bare name, and
-// the events/status/polygons/stats sub-resources, dispatching on the mesh's
-// dimensionality (route exists only on 2-D meshes). rest is the path after
-// the meshes/ segment, version prefix already stripped.
+// the sub-resources of the mesh's dimensionality. Both dimensionalities
+// share the generic serveMesh; only the 2-D arm adds route, and only the
+// wire type of the coordinates differs. rest is the path after the
+// /v1/meshes/ segment.
 func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string) {
 	name, sub, _ := strings.Cut(rest, "/")
 	t, err := s.mgr.Lookup(name)
@@ -318,38 +294,36 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string)
 		return
 	}
 	switch sh := t.(type) {
-	case *shard.Shard:
-		switch sub {
-		case "events":
-			s.handleEvents(w, r, sh)
-		case "status":
-			s.handleStatus(w, r, sh)
-		case "polygons":
-			s.handlePolygons(w, r, sh)
-		case "route":
+	case *shard.Shard[grid.Coord, grid.Mesh]:
+		if sub == "route" {
 			s.handleRoute(w, r, sh)
-		case "stats":
-			s.handleStats(w, r, sh)
-		default:
-			writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, name)
+			return
 		}
-	case *shard.Shard3:
-		switch sub {
-		case "events":
-			s.handleEvents3(w, r, sh)
-		case "status":
-			s.handleStatus3(w, r, sh)
-		case "polygons":
-			s.handlePolygons3(w, r, sh)
-		case "route":
-			writeError(w, http.StatusNotFound, codeNotFound, "routing is 2-D only; mesh %s is 3-D", name)
-		case "stats":
-			s.handleStats3(w, r, sh)
-		default:
-			writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, name)
-		}
+		serveMesh(w, r, sh, sub, toXY)
+	case *shard.Shard[grid3.Coord, grid3.Mesh]:
+		serveMesh(w, r, sh, sub, toXYZ)
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, "unknown mesh kind for %s", name)
+	}
+}
+
+// serveMesh serves the events, status, polygons and stats sub-resources
+// of one mesh of any dimensionality; wire converts a coordinate to its
+// JSON shape in polygon replies.
+func serveMesh[C any, T kernel.Topology[C], W any](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], sub string, wire func(C) W) {
+	switch sub {
+	case "events":
+		handleEvents(w, r, sh)
+	case "status":
+		handleStatus(w, r, sh)
+	case "polygons":
+		handlePolygons(w, r, sh, wire)
+	case "stats":
+		handleStats(w, sh)
+	case "route":
+		writeError(w, http.StatusNotFound, codeNotFound, "routing is 2-D only; mesh %s is %d-D", sh.Name(), sh.Mesh().Axes())
+	default:
+		writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, sh.Name())
 	}
 }
 
@@ -365,12 +339,12 @@ type eventsReply struct {
 	Components int    `json:"components"`
 }
 
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handleEvents[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a JSON array of events")
 		return
 	}
-	events, err := engine.DecodeEvents(http.MaxBytesReader(w, r.Body, maxEventBody))
+	events, err := kernel.DecodeEvents[C](http.MaxBytesReader(w, r.Body, maxEventBody))
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -389,23 +363,35 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request, sh *shard.
 	})
 }
 
+// statusReply answers a status query; Z is set on 3-D meshes only.
 type statusReply struct {
 	X       int    `json:"x"`
 	Y       int    `json:"y"`
+	Z       *int   `json:"z,omitempty"`
 	Class   string `json:"class"`
 	Version uint64 `json:"version"`
 }
 
-func (s *server) handleStatus(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
-	x, errX := strconv.Atoi(r.URL.Query().Get("x"))
-	y, errY := strconv.Atoi(r.URL.Query().Get("y"))
-	if errX != nil || errY != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "need integer x and y query parameters")
-		return
+// axisParams are the status query parameters, one per mesh axis.
+var axisParams = [...]string{"x", "y", "z"}
+
+func handleStatus[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
+	mesh := sh.Mesh()
+	axes := mesh.Axes()
+	query := r.URL.Query()
+	var pos [len(axisParams)]int
+	for axis := 0; axis < axes; axis++ {
+		v, err := strconv.Atoi(query.Get(axisParams[axis]))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "need integer %s and %s query parameters",
+				strings.Join(axisParams[:axes-1], ", "), axisParams[axes-1])
+			return
+		}
+		pos[axis] = v
 	}
-	node := grid.XY(x, y)
-	if !sh.Mesh().Contains(node) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v outside %v", node, sh.Mesh())
+	node := mesh.AtAxes(pos[:axes])
+	if !mesh.Contains(node) {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v outside %v", node, mesh)
 		return
 	}
 	v, err := sh.Read()
@@ -413,48 +399,65 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request, sh *shard.
 		writeShardError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statusReply{
-		X: x, Y: y,
-		Class:   v.Snapshot.Class(node).String(),
-		Version: v.Version,
-	})
+	reply := statusReply{X: pos[0], Y: pos[1], Class: v.Snapshot.Class(node).String(), Version: v.Version}
+	if axes > 2 {
+		reply.Z = &pos[2]
+	}
+	writeJSON(w, http.StatusOK, reply)
 }
 
+// xy and xyz are the wire shapes of 2-D and 3-D coordinates in polygon
+// and route replies: plain structs, so encoding/json encodes them without
+// a per-coordinate MarshalJSON call.
 type xy struct {
 	X int `json:"x"`
 	Y int `json:"y"`
 }
 
-func coords(set *nodeset.Set) []xy {
-	out := make([]xy, 0, set.Len())
-	set.Each(func(c grid.Coord) { out = append(out, xy{c.X, c.Y}) })
+type xyz struct {
+	X int `json:"x"`
+	Y int `json:"y"`
+	Z int `json:"z"`
+}
+
+func toXY(c grid.Coord) xy { return xy{c.X, c.Y} }
+
+func toXYZ(c grid3.Coord) xyz { return xyz{c.X, c.Y, c.Z} }
+
+// wireCoords lists a set's nodes in index (row-major) order as wire
+// coordinates.
+func wireCoords[C any, T kernel.Topology[C], W any](set *kernel.Set[C, T], wire func(C) W) []W {
+	out := make([]W, 0, set.Len())
+	set.Each(func(c C) { out = append(out, wire(c)) })
 	return out
 }
 
-type polygonReply struct {
+type polygonReply[W any] struct {
 	// Faults are the component's faulty nodes, Polygon its minimum
-	// faulty polygon (faults included), both in row-major order.
-	Faults  []xy `json:"faults"`
-	Polygon []xy `json:"polygon"`
+	// faulty polygon (polytope on a 3-D mesh; faults included), both in
+	// index order. The field name is "polygon" in every dimensionality,
+	// so 2-D and 3-D replies decode with one shape.
+	Faults  []W `json:"faults"`
+	Polygon []W `json:"polygon"`
 }
 
-type polygonsReply struct {
-	Version  uint64         `json:"version"`
-	Polygons []polygonReply `json:"polygons"`
+type polygonsReply[W any] struct {
+	Version  uint64            `json:"version"`
+	Polygons []polygonReply[W] `json:"polygons"`
 }
 
-func (s *server) handlePolygons(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handlePolygons[C any, T kernel.Topology[C], W any](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], wire func(C) W) {
 	v, err := sh.Read()
 	if err != nil {
 		writeShardError(w, err)
 		return
 	}
 	snap := v.Snapshot
-	reply := polygonsReply{Version: v.Version, Polygons: make([]polygonReply, len(snap.Polygons()))}
+	reply := polygonsReply[W]{Version: v.Version, Polygons: make([]polygonReply[W], len(snap.Polygons()))}
 	for i, poly := range snap.Polygons() {
-		reply.Polygons[i] = polygonReply{
-			Faults:  coords(snap.Components()[i]),
-			Polygon: coords(poly),
+		reply.Polygons[i] = polygonReply[W]{
+			Faults:  wireCoords(snap.Components()[i], wire),
+			Polygon: wireCoords(poly, wire),
 		}
 	}
 	writeJSON(w, http.StatusOK, reply)
@@ -517,7 +520,7 @@ func routeStatus(err error) (int, string) {
 	}
 }
 
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard[grid.Coord, grid.Mesh]) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
 		return
@@ -562,7 +565,7 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.S
 		}
 		path := make([]xy, 0, route.Length()+1)
 		for _, c := range route.Path() {
-			path = append(path, xy{c.X, c.Y})
+			path = append(path, toXY(c))
 		}
 		writeJSON(w, http.StatusOK, routeReply{
 			Version: v.Version, CacheHit: hit,
@@ -603,7 +606,7 @@ type statsReply struct {
 	MeanPolygonSize   *float64 `json:"mean_polygon_size,omitempty"`
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handleStats[C any, T kernel.Topology[C]](w http.ResponseWriter, sh *shard.Shard[C, T]) {
 	reply := statsReply{Stats: sh.Stats()}
 	if v, ok := sh.Peek(); ok {
 		snap := v.Snapshot

@@ -35,7 +35,7 @@ func TestMesh3DEndToEnd(t *testing.T) {
 	ts := newHTTPServer(t, mgr)
 
 	// Create with depth.
-	resp := postJSON(t, ts.URL+"/meshes", []byte(`{"name":"cube","width":10,"height":10,"depth":10}`))
+	resp := postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"cube","width":10,"height":10,"depth":10}`))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", resp.StatusCode)
 	}
@@ -63,7 +63,7 @@ func TestMesh3DEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = postJSON(t, ts.URL+"/meshes/cube/events", body)
+	resp = postJSON(t, ts.URL+"/v1/meshes/cube/events", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("events: status %d", resp.StatusCode)
 	}
@@ -78,8 +78,8 @@ func TestMesh3DEndToEnd(t *testing.T) {
 
 	// Polytopes match the batch construction.
 	ref := mfp3d.Build(m, faults)
-	var polys polytopesReply
-	if resp := getJSON(t, ts.URL+"/meshes/cube/polygons", &polys); resp.StatusCode != 200 {
+	var polys polygonsReply[xyz]
+	if resp := getJSON(t, ts.URL+"/v1/meshes/cube/polygons", &polys); resp.StatusCode != 200 {
 		t.Fatalf("polygons: status %d", resp.StatusCode)
 	}
 	if len(polys.Polygons) != len(ref.Polytopes) {
@@ -87,7 +87,7 @@ func TestMesh3DEndToEnd(t *testing.T) {
 	}
 	for i, p := range polys.Polygons {
 		want := nodeset3.New(m)
-		for _, c := range coords3(ref.Polytopes[i]) {
+		for _, c := range wireCoords(ref.Polytopes[i], toXYZ) {
 			want.Add(grid3.XYZ(c.X, c.Y, c.Z))
 		}
 		got := nodeset3.New(m)
@@ -110,8 +110,8 @@ func TestMesh3DEndToEnd(t *testing.T) {
 		{9, 9, 9, "safe"},
 	}
 	for _, tc := range cases {
-		var st statusReply3
-		url := ts.URL + "/meshes/cube/status?x=" + strconv.Itoa(tc.x) + "&y=" + strconv.Itoa(tc.y) + "&z=" + strconv.Itoa(tc.z)
+		var st statusReply
+		url := ts.URL + "/v1/meshes/cube/status?x=" + strconv.Itoa(tc.x) + "&y=" + strconv.Itoa(tc.y) + "&z=" + strconv.Itoa(tc.z)
 		if resp := getJSON(t, url, &st); resp.StatusCode != 200 {
 			t.Fatalf("status(%d,%d,%d): status %d", tc.x, tc.y, tc.z, resp.StatusCode)
 		}
@@ -120,13 +120,13 @@ func TestMesh3DEndToEnd(t *testing.T) {
 		}
 	}
 	// A 2-D shaped status query (no z) fails cleanly.
-	if resp := getJSON(t, ts.URL+"/meshes/cube/status?x=1&y=1", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/cube/status?x=1&y=1", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status without z: %d, want 400", resp.StatusCode)
 	}
 
 	// Stats carry the construction metrics of the snapshot.
 	var st statsReply
-	if resp := getJSON(t, ts.URL+"/meshes/cube/stats", &st); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/cube/stats", &st); resp.StatusCode != 200 {
 		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
 	if st.Depth != 10 || st.Faults != 3 || st.Components != 1 {
@@ -140,14 +140,14 @@ func TestMesh3DEndToEnd(t *testing.T) {
 	}
 
 	// Route is 2-D only.
-	resp = postJSON(t, ts.URL+"/meshes/cube/route", []byte(`{"src":{"x":0,"y":0},"dst":{"x":1,"y":1}}`))
+	resp = postJSON(t, ts.URL+"/v1/meshes/cube/route", []byte(`{"src":{"x":0,"y":0},"dst":{"x":1,"y":1}}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("route on 3-D mesh: %d, want 404", resp.StatusCode)
 	}
 
 	// And the 2-D typed accessor refuses the 3-D mesh.
-	if _, err := mgr.Get("cube"); err == nil {
+	if _, err := shard.Get[grid.Coord, grid.Mesh](mgr, "cube"); err == nil {
 		t.Fatal("Get on a 3-D mesh should fail")
 	}
 }
@@ -162,7 +162,7 @@ func TestMesh3DRejects2DEvents(t *testing.T) {
 	if _, err := mgr.Create3("cube", grid3.New(4, 4, 4)); err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, ts.URL+"/meshes/cube/events", []byte(`[{"op":"add","x":1,"y":1}]`))
+	resp := postJSON(t, ts.URL+"/v1/meshes/cube/events", []byte(`[{"op":"add","x":1,"y":1}]`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("2-D event on 3-D mesh: %d, want 400", resp.StatusCode)
@@ -170,13 +170,13 @@ func TestMesh3DRejects2DEvents(t *testing.T) {
 	if _, err := mgr.Create("flat", grid.New(4, 4)); err != nil {
 		t.Fatal(err)
 	}
-	resp = postJSON(t, ts.URL+"/meshes/flat/events", []byte(`[{"op":"add","x":1,"y":1,"z":2}]`))
+	resp = postJSON(t, ts.URL+"/v1/meshes/flat/events", []byte(`[{"op":"add","x":1,"y":1,"z":2}]`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("3-D event on 2-D mesh: %d, want 400", resp.StatusCode)
 	}
 	// Out-of-mesh events fail validation with the usual 400.
-	resp = postJSON(t, ts.URL+"/meshes/cube/events", []byte(`[{"op":"add","x":1,"y":1,"z":9}]`))
+	resp = postJSON(t, ts.URL+"/v1/meshes/cube/events", []byte(`[{"op":"add","x":1,"y":1,"z":9}]`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-mesh 3-D event: %d, want 400", resp.StatusCode)
@@ -188,12 +188,12 @@ func TestMesh3DRejects2DEvents(t *testing.T) {
 func TestMesh3DCreateBounds(t *testing.T) {
 	mgr := shard.NewManager(shard.Config{})
 	ts := newHTTPServer(t, mgr)
-	resp := postJSON(t, ts.URL+"/meshes", []byte(`{"name":"big","width":2048,"height":2048,"depth":2048}`))
+	resp := postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"big","width":2048,"height":2048,"depth":2048}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized 3-D create: %d, want 400", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/meshes", []byte(`{"name":"neg","width":4,"height":4,"depth":-1}`))
+	resp = postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"neg","width":4,"height":4,"depth":-1}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative depth: %d, want 400", resp.StatusCode)

@@ -48,7 +48,7 @@ func postEvents(t *testing.T, ts *httptest.Server, mesh string, events []engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, ts.URL+"/meshes/"+mesh+"/events", body)
+	resp := postJSON(t, ts.URL+"/v1/meshes/"+mesh+"/events", body)
 	defer resp.Body.Close()
 	var reply eventsReply
 	if resp.StatusCode == http.StatusOK {
@@ -124,7 +124,7 @@ func TestEventBatchAndQueries(t *testing.T) {
 		{0, 0, "safe"},
 	} {
 		var st statusReply
-		if resp := getJSON(t, fmt.Sprintf("%s/meshes/m/status?x=%d&y=%d", ts.URL, tc.x, tc.y), &st); resp.StatusCode != 200 {
+		if resp := getJSON(t, fmt.Sprintf("%s/v1/meshes/m/status?x=%d&y=%d", ts.URL, tc.x, tc.y), &st); resp.StatusCode != 200 {
 			t.Fatalf("status(%d,%d): %d", tc.x, tc.y, resp.StatusCode)
 		}
 		if st.Class != tc.want {
@@ -132,14 +132,14 @@ func TestEventBatchAndQueries(t *testing.T) {
 		}
 	}
 
-	var polys polygonsReply
-	getJSON(t, ts.URL+"/meshes/m/polygons", &polys)
+	var polys polygonsReply[xy]
+	getJSON(t, ts.URL+"/v1/meshes/m/polygons", &polys)
 	if len(polys.Polygons) != 1 || len(polys.Polygons[0].Faults) != 3 || len(polys.Polygons[0].Polygon) != 4 {
 		t.Fatalf("polygons reply: %+v", polys)
 	}
 
 	var stats statsReply
-	getJSON(t, ts.URL+"/meshes/m/stats", &stats)
+	getJSON(t, ts.URL+"/v1/meshes/m/stats", &stats)
 	if stats.Faults != 3 || stats.Components != 1 || !stats.Resident {
 		t.Fatalf("stats reply: %+v", stats)
 	}
@@ -164,11 +164,11 @@ func TestEventBatchAndQueries(t *testing.T) {
 func TestAdminCreateListDelete(t *testing.T) {
 	ts, mgr := newTestServer(t, 8, shard.Config{})
 
-	if resp := postJSON(t, ts.URL+"/meshes", []byte(`{"name":"tenant-a","width":16,"height":9}`)); resp.StatusCode != http.StatusCreated {
+	if resp := postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"tenant-a","width":16,"height":9}`)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d", resp.StatusCode)
 	}
 	// Duplicate name conflicts, bad shapes and names are rejected.
-	if resp := postJSON(t, ts.URL+"/meshes", []byte(`{"name":"tenant-a","width":4,"height":4}`)); resp.StatusCode != http.StatusConflict {
+	if resp := postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"tenant-a","width":4,"height":4}`)); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create: status %d", resp.StatusCode)
 	}
 	for _, body := range []string{
@@ -180,13 +180,13 @@ func TestAdminCreateListDelete(t *testing.T) {
 		`{"name":"x","width":4,"height":4} trailing`,
 		`{"name":"x","width":4,"height":4}{"name":"y","width":4,"height":4}`,
 	} {
-		if resp := postJSON(t, ts.URL+"/meshes", []byte(body)); resp.StatusCode != http.StatusBadRequest {
+		if resp := postJSON(t, ts.URL+"/v1/meshes", []byte(body)); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("create %s: status %d", body, resp.StatusCode)
 		}
 	}
 
 	var list meshesReply
-	if resp := getJSON(t, ts.URL+"/meshes", &list); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/meshes", &list); resp.StatusCode != 200 {
 		t.Fatalf("list: %d", resp.StatusCode)
 	}
 	if len(list.Meshes) != 2 || list.Meshes[0].Name != "m" || list.Meshes[1].Name != "tenant-a" {
@@ -199,14 +199,14 @@ func TestAdminCreateListDelete(t *testing.T) {
 	// The mesh-count bound surfaces as 429 (eviction cannot reclaim what
 	// Create allocates, so the cap is the service's memory backstop).
 	tsCapped, _ := newTestServer(t, 8, shard.Config{MaxMeshes: 1})
-	if resp := postJSON(t, tsCapped.URL+"/meshes", []byte(`{"name":"x","width":4,"height":4}`)); resp.StatusCode != http.StatusTooManyRequests {
+	if resp := postJSON(t, tsCapped.URL+"/v1/meshes", []byte(`{"name":"x","width":4,"height":4}`)); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("create beyond -max-meshes: status %d", resp.StatusCode)
 	}
 
-	if resp := doDelete(t, ts.URL+"/meshes/tenant-a"); resp.StatusCode != 200 {
+	if resp := doDelete(t, ts.URL+"/v1/meshes/tenant-a"); resp.StatusCode != 200 {
 		t.Fatalf("delete: %d", resp.StatusCode)
 	}
-	if resp := doDelete(t, ts.URL+"/meshes/tenant-a"); resp.StatusCode != http.StatusNotFound {
+	if resp := doDelete(t, ts.URL+"/v1/meshes/tenant-a"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("second delete: %d", resp.StatusCode)
 	}
 	if mgr.Len() != 1 {
@@ -229,37 +229,37 @@ func TestBadRequests(t *testing.T) {
 		`[{"op":"explode","x":1,"y":1}]`,
 		`[{"op":"add","x":1}]`,
 	} {
-		resp := postJSON(t, ts.URL+"/meshes/m/events", []byte(body))
+		resp := postJSON(t, ts.URL+"/v1/meshes/m/events", []byte(body))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d", body, resp.StatusCode)
 		}
 	}
 	// Wrong methods.
-	if resp := getJSON(t, ts.URL+"/meshes/m/events", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/events", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /events: status %d", resp.StatusCode)
 	}
-	if resp := postJSON(t, ts.URL+"/meshes/m", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+	if resp := postJSON(t, ts.URL+"/v1/meshes/m", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST on mesh root: status %d", resp.StatusCode)
 	}
-	if resp := doDelete(t, ts.URL+"/meshes"); resp.StatusCode != http.StatusMethodNotAllowed {
+	if resp := doDelete(t, ts.URL+"/v1/meshes"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE on collection: status %d", resp.StatusCode)
 	}
 	// Unknown mesh and unknown sub-resource.
-	if resp := getJSON(t, ts.URL+"/meshes/nope/stats", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/nope/stats", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown mesh: status %d", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts.URL+"/meshes/m/nope", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown sub-resource: status %d", resp.StatusCode)
 	}
 	if resp := getJSON(t, ts.URL+"/nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown route: status %d", resp.StatusCode)
 	}
 	// Bad status queries.
-	if resp := getJSON(t, ts.URL+"/meshes/m/status?x=nope&y=2", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/status?x=nope&y=2", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad status query: status %d", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts.URL+"/meshes/m/status?x=99&y=0", nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/status?x=99&y=0", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-mesh status query: status %d", resp.StatusCode)
 	}
 }
@@ -271,14 +271,14 @@ func TestOversizedBody(t *testing.T) {
 	if len(big) <= maxEventBody {
 		t.Fatalf("test body too small: %d", len(big))
 	}
-	resp := postJSON(t, ts.URL+"/meshes/m/events", []byte(big))
+	resp := postJSON(t, ts.URL+"/v1/meshes/m/events", []byte(big))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 	// Nothing was applied.
 	var stats statsReply
-	getJSON(t, ts.URL+"/meshes/m/stats", &stats)
+	getJSON(t, ts.URL+"/v1/meshes/m/stats", &stats)
 	if stats.Version != 0 {
 		t.Fatalf("oversized body applied events: %+v", stats)
 	}
@@ -300,14 +300,14 @@ func TestDeleteWhileEventsInFlight(t *testing.T) {
 			<-start
 			for i := 0; i < 8; i++ {
 				body, _ := json.Marshal([]engine.Event{{Op: engine.Add, Node: grid.XY(w, i)}})
-				resp := postJSON(t, ts.URL+"/meshes/m/events", body)
+				resp := postJSON(t, ts.URL+"/v1/meshes/m/events", body)
 				resp.Body.Close()
 				codes <- resp.StatusCode
 			}
 		}(w)
 	}
 	close(start)
-	resp := doDelete(t, ts.URL+"/meshes/m")
+	resp := doDelete(t, ts.URL+"/v1/meshes/m")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: status %d", resp.StatusCode)
 	}
@@ -320,7 +320,7 @@ func TestDeleteWhileEventsInFlight(t *testing.T) {
 			t.Fatalf("unexpected status %d during delete race", code)
 		}
 	}
-	if resp := getJSON(t, ts.URL+"/meshes/m/stats", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/stats", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats after delete: status %d", resp.StatusCode)
 	}
 }
@@ -337,7 +337,7 @@ func TestStatsDoesNotForceResidency(t *testing.T) {
 	if _, resp := postEvents(t, ts, "n", []engine.Event{{Op: engine.Add, Node: grid.XY(1, 1)}}); resp.StatusCode != 200 {
 		t.Fatalf("events on n: %d", resp.StatusCode)
 	}
-	sh, err := mgr.Get("m")
+	sh, err := shard.Get[grid.Coord, grid.Mesh](mgr, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestStatsDoesNotForceResidency(t *testing.T) {
 
 	rebuildsBefore := sh.Stats().Rebuilds
 	var stats statsReply
-	if resp := getJSON(t, ts.URL+"/meshes/m/stats", &stats); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/stats", &stats); resp.StatusCode != 200 {
 		t.Fatalf("stats on evicted mesh: %d", resp.StatusCode)
 	}
 	if stats.Resident || stats.Disabled != nil || stats.MeanPolygonSize != nil {
@@ -361,7 +361,7 @@ func TestStatsDoesNotForceResidency(t *testing.T) {
 		t.Fatalf("stats query forced a rebuild (%d -> %d)", rebuildsBefore, got)
 	}
 	// A status query does rebuild, transparently.
-	if resp := getJSON(t, ts.URL+"/meshes/m/status?x=1&y=1", nil); resp.StatusCode != 200 {
+	if resp := getJSON(t, ts.URL+"/v1/meshes/m/status?x=1&y=1", nil); resp.StatusCode != 200 {
 		t.Fatalf("status after eviction: %d", resp.StatusCode)
 	}
 	if got := sh.Stats().Rebuilds; got != rebuildsBefore+1 {
@@ -394,7 +394,7 @@ func TestConcurrentQueriesUnderLoad(t *testing.T) {
 				}
 				mesh := meshes[rng.Intn(2)]
 				var stats statsReply
-				if resp := getJSON(t, ts.URL+"/meshes/"+mesh+"/stats", &stats); resp.StatusCode != 200 {
+				if resp := getJSON(t, ts.URL+"/v1/meshes/"+mesh+"/stats", &stats); resp.StatusCode != 200 {
 					t.Errorf("stats under load: %d", resp.StatusCode)
 					return
 				}
@@ -403,7 +403,7 @@ func TestConcurrentQueriesUnderLoad(t *testing.T) {
 					return
 				}
 				var st statusReply
-				if resp := getJSON(t, fmt.Sprintf("%s/meshes/%s/status?x=%d&y=%d", ts.URL, mesh, rng.Intn(24), rng.Intn(24)), &st); resp.StatusCode != 200 {
+				if resp := getJSON(t, fmt.Sprintf("%s/v1/meshes/%s/status?x=%d&y=%d", ts.URL, mesh, rng.Intn(24), rng.Intn(24)), &st); resp.StatusCode != 200 {
 					t.Errorf("status under load: %d", resp.StatusCode)
 					return
 				}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,8 +12,6 @@ import (
 )
 
 // TestV1Endpoints drives every documented endpoint through its /v1 path.
-// Versioned responses must not carry the Deprecation header — that marker
-// belongs to the legacy alias only.
 func TestV1Endpoints(t *testing.T) {
 	ts, _ := newTestServer(t, 12, shard.Config{})
 
@@ -22,9 +19,6 @@ func TestV1Endpoints(t *testing.T) {
 		t.Helper()
 		if resp.StatusCode != want {
 			t.Fatalf("%s: status %d, want %d", what, resp.StatusCode, want)
-		}
-		if resp.Header.Get("Deprecation") != "" {
-			t.Fatalf("%s: /v1 response carries a Deprecation header", what)
 		}
 	}
 
@@ -53,56 +47,6 @@ func TestV1Endpoints(t *testing.T) {
 
 	resp = doDelete(t, ts.URL+"/v1/meshes/t")
 	check(resp, "delete", http.StatusOK)
-}
-
-// TestUnversionedAliasDeprecation: for one release the pre-versioning
-// paths answer with byte-identical bodies, flagged by "Deprecation: true"
-// and a successor-version Link so clients can find the migration target.
-func TestUnversionedAliasDeprecation(t *testing.T) {
-	ts, _ := newTestServer(t, 8, shard.Config{})
-	if _, resp := postEvents(t, ts, "m", faultCluster()); resp.StatusCode != 200 {
-		t.Fatalf("seed events: %d", resp.StatusCode)
-	}
-
-	fetch := func(path string) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, body
-	}
-
-	for _, path := range []string{
-		"/meshes",
-		"/meshes/m/status?x=5&y=5",
-		"/meshes/m/polygons",
-		"/meshes/m/stats",
-		"/meshes/nope/stats", // error paths are aliased identically too
-	} {
-		legacy, legacyBody := fetch(path)
-		v1, v1Body := fetch("/v1" + path)
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s: alias status %d, /v1 status %d", path, legacy.StatusCode, v1.StatusCode)
-		}
-		if string(legacyBody) != string(v1Body) {
-			t.Errorf("%s: alias body %q differs from /v1 body %q", path, legacyBody, v1Body)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: alias response missing Deprecation header", path)
-		}
-		if link := legacy.Header.Get("Link"); link != `</v1/meshes>; rel="successor-version"` {
-			t.Errorf("%s: alias Link header %q", path, link)
-		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("/v1%s: versioned response carries Deprecation", path)
-		}
-	}
 }
 
 // TestErrorEnvelope: every error path answers with the uniform
@@ -147,7 +91,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"mesh cap", postJSON(t, ts.URL+"/v1/meshes", []byte(`{"name":"x","width":4,"height":4}`)), http.StatusTooManyRequests, "too_many_meshes"},
 		{"bad status query", get("/v1/meshes/m/status?x=nope&y=1"), http.StatusBadRequest, "bad_request"},
 		{"bad route body", postJSON(t, ts.URL+"/v1/meshes/m/route", []byte(`{}`)), http.StatusBadRequest, "bad_request"},
-		{"legacy alias error", get("/meshes/nope/stats"), http.StatusNotFound, "unknown_mesh"},
+		{"unversioned path", get("/meshes/m/stats"), http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
 		if tc.resp.StatusCode != tc.status {

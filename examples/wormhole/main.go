@@ -25,7 +25,7 @@ func main() {
 	inner := fault.NewInjector(grid.New(18, 18), fault.Clustered, 5).Inject(20)
 	faults := nodeset.New(m)
 	inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-	net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+	planner := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 	sim := wormhole.New(wormhole.Config{FlitLen: 4})
 	rng := rand.New(rand.NewSource(1))
@@ -33,10 +33,10 @@ func main() {
 	for injected < 200 {
 		src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 		dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
-		if src == dst || net.Blocked(src) || net.Blocked(dst) {
+		if src == dst || planner.Blocked(src) || planner.Blocked(dst) {
 			continue
 		}
-		r, err := net.Route(src, dst)
+		r, err := planner.Route(src, dst)
 		if err != nil {
 			continue
 		}

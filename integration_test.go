@@ -53,17 +53,17 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 			// Route a message batch over the MFP regions and deliver it
 			// flit by flit.
-			net := routing.NewNetwork(m, c.Disabled(core.MFP))
+			planner := routing.NewPlannerForBlocked(m, c.Disabled(core.MFP))
 			sim := wormhole.New(wormhole.Config{FlitLen: 3})
 			rng := rand.New(rand.NewSource(seed))
 			injected := 0
 			for tries := 0; injected < 40 && tries < 500; tries++ {
 				src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 				dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
-				if src == dst || net.Blocked(src) || net.Blocked(dst) {
+				if src == dst || planner.Blocked(src) || planner.Blocked(dst) {
 					continue
 				}
-				r, err := net.Route(src, dst)
+				r, err := planner.Route(src, dst)
 				if err != nil {
 					t.Fatalf("%v seed %d: route: %v", model, seed, err)
 				}
@@ -96,17 +96,17 @@ func TestPipelineRectangularBlocksAlwaysDrain(t *testing.T) {
 	m := grid.New(28, 28)
 	for seed := int64(0); seed < 6; seed++ {
 		faults := interiorFaults(m, fault.Clustered, 30, seed)
-		net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+		planner := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 		sim := wormhole.New(wormhole.Config{FlitLen: 4})
 		rng := rand.New(rand.NewSource(seed + 100))
 		injected := 0
 		for tries := 0; injected < 60 && tries < 800; tries++ {
 			src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 			dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
-			if src == dst || net.Blocked(src) || net.Blocked(dst) {
+			if src == dst || planner.Blocked(src) || planner.Blocked(dst) {
 				continue
 			}
-			r, err := net.Route(src, dst)
+			r, err := planner.Route(src, dst)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

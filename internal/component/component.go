@@ -11,8 +11,8 @@ package component
 
 import (
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 )
 
 // Component is a maximal set of mutually 8-connected faulty nodes.
@@ -33,7 +33,7 @@ type Component struct {
 // Find runs the merge process over the fault set and returns the components
 // in deterministic (row-major seed) order.
 func Find(faults *nodeset.Set) []*Component {
-	regions := polygon.Regions8(faults)
+	regions := kernel.Regions(faults)
 	out := make([]*Component, len(regions))
 	for i, r := range regions {
 		out[i] = New(faults.Mesh(), r)
@@ -119,7 +119,7 @@ func (c *Component) Unwrapped() *nodeset.Set {
 // component, in raw coordinates. On a torus the closure is computed in the
 // unwrapped frame and mapped back.
 func (c *Component) Closure() *nodeset.Set {
-	cl, _ := polygon.Closure(c.Unwrapped())
+	cl, _ := kernel.Closure(c.Unwrapped())
 	if c.OffX == 0 && c.OffY == 0 {
 		return cl
 	}

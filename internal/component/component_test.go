@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 )
 
 func TestFindBasic(t *testing.T) {
@@ -69,7 +69,7 @@ func TestClosurePlainMesh(t *testing.T) {
 	if !cl.Has(grid.XY(3, 3)) || cl.Len() != 6 {
 		t.Fatalf("closure = %v", cl)
 	}
-	if !polygon.IsOrthoConvex(cl) {
+	if !kernel.IsOrthoConvex(cl) {
 		t.Fatal("closure must be convex")
 	}
 }

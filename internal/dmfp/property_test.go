@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/mfp"
-	"repro/internal/polygon"
 )
 
 // Property sweep: the distributed construction equals the centralized one
@@ -92,7 +92,7 @@ func TestPropertySectionsStayWithinClosure(t *testing.T) {
 		faults := fault.NewInjector(m, fault.Random, seed).Inject(150)
 		res := Build(m, faults)
 		for i, comp := range res.Components {
-			cl, _ := polygon.Closure(comp.Nodes)
+			cl, _ := kernel.Closure(comp.Nodes)
 			if !cl.ContainsAll(res.Polygons[i]) {
 				t.Fatalf("seed %d: polygon %d leaks outside its closure", seed, i)
 			}

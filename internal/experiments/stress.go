@@ -170,7 +170,7 @@ func (r *StressReport) String() string {
 // replays independently of the shard layer.
 type stressShard struct {
 	name    string
-	shard   *shard.Shard
+	shard   *shard.Shard[grid.Coord, grid.Mesh]
 	chunks  [][]engine.Event
 	faults  *nodeset.Set // expected fault set (driver-side replay)
 	applied uint64       // expected shard version
@@ -368,7 +368,7 @@ func crashRecover(old *shard.Manager, mgrCfg shard.Config, dataDir string, shard
 		return nil, fmt.Errorf("stress crash: recovered %d meshes, expected %d", len(names), len(shards))
 	}
 	for _, ss := range shards {
-		sh, err := next.Get(ss.name)
+		sh, err := shard.Get[grid.Coord, grid.Mesh](next, ss.name)
 		if err != nil {
 			next.Close()
 			return nil, fmt.Errorf("stress crash: %s: %w", ss.name, err)

@@ -14,8 +14,8 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 	"repro/internal/sim"
 )
 
@@ -85,7 +85,7 @@ func Build(b *block.Result) *Result {
 		Mesh:         m,
 		Faults:       b.Faults.Clone(),
 		Disabled:     disabled,
-		Polygons:     polygon.Regions8(disabled),
+		Polygons:     kernel.Regions(disabled),
 		GrowRounds:   b.Rounds,
 		ShrinkRounds: rounds,
 	}
@@ -131,7 +131,7 @@ func (r *Result) Validate(b *block.Result) error {
 		// Convexity is checked in raw coordinates; polygons that wrap a
 		// torus seam are convex only in an unwrapped frame (see the
 		// component package), so the check is skipped there.
-		if !r.Mesh.Torus && !polygon.IsOrthoConvex(p) {
+		if !r.Mesh.Torus && !kernel.IsOrthoConvex(p) {
 			return fmt.Errorf("fp: polygon %d is not orthogonal convex: %v", i, p)
 		}
 	}

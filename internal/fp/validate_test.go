@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 )
 
 func fixture(t *testing.T) (*block.Result, *Result) {
@@ -34,7 +34,7 @@ func TestValidateCatchesFaultEscape(t *testing.T) {
 func TestValidateCatchesLeakOutsideBlocks(t *testing.T) {
 	b, r := fixture(t)
 	r.Disabled.Add(grid.XY(10, 10))
-	r.Polygons = polygon.Regions8(r.Disabled)
+	r.Polygons = kernel.Regions(r.Disabled)
 	if err := r.Validate(b); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("leak not caught: %v", err)
 	}

@@ -26,8 +26,8 @@ import (
 	"repro/internal/component"
 	"repro/internal/fp"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 	"repro/internal/pool"
 )
 
@@ -172,7 +172,7 @@ func (r *Result) Validate() error {
 		covered.UnionWith(p)
 		// Convexity holds in the frame the polygon was computed in; on a
 		// plain mesh that is the raw frame.
-		if !r.Mesh.Torus && !polygon.IsOrthoConvex(p) {
+		if !r.Mesh.Torus && !kernel.IsOrthoConvex(p) {
 			return fmt.Errorf("mfp: polygon %d is not orthogonal convex", i)
 		}
 	}

@@ -35,7 +35,7 @@ func NewHTTPMetrics(r *Registry, prefix string) *HTTPMetrics {
 
 // RouteInfo is what the middleware needs to know about a request without
 // exploding label cardinality: the route pattern (a small fixed set like
-// "/meshes/{name}/events", never the raw path) and, when mesh-scoped, the
+// "/v1/meshes/{name}/events", never the raw path) and, when mesh-scoped, the
 // mesh name — which goes to the request log only, never to a label.
 type RouteInfo struct {
 	Route string

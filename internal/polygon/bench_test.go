@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -28,15 +29,15 @@ func BenchmarkClosure(b *testing.B) {
 	blob := randomBlob(1, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Closure(blob)
+		kernel.Closure(blob)
 	}
 }
 
 func BenchmarkIsOrthoConvex(b *testing.B) {
-	cl, _ := Closure(randomBlob(1, 200))
+	cl, _ := kernel.Closure(randomBlob(1, 200))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IsOrthoConvex(cl)
+		kernel.IsOrthoConvex(cl)
 	}
 }
 
@@ -57,6 +58,6 @@ func BenchmarkRegions8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Regions8(s)
+		kernel.Regions(s)
 	}
 }

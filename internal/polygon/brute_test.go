@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/mfp"
 	"repro/internal/nodeset"
-	"repro/internal/polygon"
 )
 
 // This file checks the library's closure machinery against a brute-force
@@ -122,8 +122,8 @@ func TestClosureMatchesBruteForceMinimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 400; i++ {
 		s := randomSet(rng)
-		for _, region := range polygon.Regions8(s) {
-			cl, _ := polygon.Closure(region)
+		for _, region := range kernel.Regions(s) {
+			cl, _ := kernel.Closure(region)
 			want := bruteMinPolygon(t, region)
 			if !cl.Equal(want) {
 				t.Fatalf("case %d: closure %v != brute-force minimum %v for region %v", i, cl, want, region)
@@ -162,9 +162,9 @@ func TestClosureIdempotentMonotoneOnRandomSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 300; i++ {
 		s := randomSet(rng)
-		for _, region := range polygon.Regions8(s) {
-			cl, _ := polygon.Closure(region)
-			again, passes := polygon.Closure(cl)
+		for _, region := range kernel.Regions(s) {
+			cl, _ := kernel.Closure(region)
+			again, passes := kernel.Closure(cl)
 			if passes != 0 || !again.Equal(cl) {
 				t.Fatalf("case %d: closure not idempotent on %v", i, region)
 			}
@@ -176,8 +176,8 @@ func TestClosureIdempotentMonotoneOnRandomSets(t *testing.T) {
 					sub.Remove(c)
 				}
 			})
-			for _, frag := range polygon.Regions8(sub) {
-				fragCl, _ := polygon.Closure(frag)
+			for _, frag := range kernel.Regions(sub) {
+				fragCl, _ := kernel.Closure(frag)
 				if !cl.ContainsAll(fragCl) {
 					t.Fatalf("case %d: closure not monotone: fragment closure escapes", i)
 				}

@@ -8,24 +8,6 @@ import (
 	"repro/internal/polygon"
 )
 
-// A U-shaped region is not orthogonal convex; its closure fills the cavity.
-func ExampleClosure() {
-	m := grid.New(8, 8)
-	u := nodeset.FromCoords(m,
-		grid.XY(1, 1), grid.XY(1, 2),
-		grid.XY(2, 1),
-		grid.XY(3, 1), grid.XY(3, 2))
-
-	fmt.Println("convex before:", polygon.IsOrthoConvex(u))
-	closed, _ := polygon.Closure(u)
-	fmt.Println("convex after:", polygon.IsOrthoConvex(closed))
-	fmt.Println("cavity filled:", closed.Has(grid.XY(2, 2)))
-	// Output:
-	// convex before: false
-	// convex after: true
-	// cavity filled: true
-}
-
 func ExampleConcaveRowSections() {
 	m := grid.New(8, 8)
 	s := nodeset.FromCoords(m, grid.XY(1, 3), grid.XY(5, 3))

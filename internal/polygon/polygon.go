@@ -1,29 +1,22 @@
-// Package polygon provides the orthogonal-convex-region geometry of the
-// paper in its 2-D form: the convexity test of Definition 1, the concave
-// row/column sections of Definition 3, the orthogonal convex closure (the
-// minimum orthogonal convex polygon containing a region), and
-// connected-region extraction under both the 4-adjacency of the network
-// links and the 8-adjacency of the merge process (Definition 2).
+// Package polygon provides the 2-D-only parts of the paper's
+// orthogonal-convex-region geometry: the concave row/column sections of
+// Definition 3 and boundary-ring tracing, which the distributed solution
+// and the router consume in 2-D terms.
 //
-// The convexity test, the fill pass, the closure and the region split are
-// thin instantiations of the dimension-generic implementations in
-// internal/kernel (shared with the 3-D construction); the concave-section
-// enumeration and the boundary-ring tracing stay here because the
-// distributed solution and the router consume them in 2-D terms.
+// The convexity test of Definition 1, the fill pass, the orthogonal convex
+// closure and the region split (4-adjacency of the network links,
+// 8-adjacency of the merge process of Definition 2) are dimension-generic
+// and live in internal/kernel: kernel.IsOrthoConvex, kernel.FillOnce,
+// kernel.Closure, kernel.LinkRegions and kernel.Regions. This package's
+// tests keep pinning them on 2-D meshes, against a brute-force minimum.
 package polygon
 
 import (
 	"sort"
 
 	"repro/internal/grid"
-	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
-
-// IsOrthoConvex reports whether the region satisfies Definition 1: for any
-// horizontal or vertical line, the nodes of the region on that line form a
-// contiguous segment.
-func IsOrthoConvex(s *nodeset.Set) bool { return kernel.IsOrthoConvex(s) }
 
 // Section is a maximal run of nodes outside a region but between two region
 // nodes on the same row or column — a concave row/column section in the
@@ -85,23 +78,3 @@ func ConcaveColumnSections(s *nodeset.Set) []Section {
 	}
 	return out
 }
-
-// FillOnce returns the region plus the nodes of all its concave row and
-// column sections — one "scan twice and fill" pass of the paper's second
-// centralized solution.
-func FillOnce(s *nodeset.Set) *nodeset.Set { return kernel.FillOnce(s) }
-
-// Closure returns the orthogonal convex closure of the region — the unique
-// minimum orthogonal convex polygon containing it — together with the number
-// of fill passes needed. For 8-connected regions a single pass suffices
-// (property-tested); the loop guards the general case.
-func Closure(s *nodeset.Set) (*nodeset.Set, int) { return kernel.Closure(s) }
-
-// Regions4 splits the set into 4-connected regions (link connectivity), in
-// deterministic row-major seed order.
-func Regions4(s *nodeset.Set) []*nodeset.Set { return kernel.LinkRegions(s) }
-
-// Regions8 splits the set into 8-connected regions (the adjacency of
-// Definition 2, used by the merge process), in deterministic row-major seed
-// order.
-func Regions8(s *nodeset.Set) []*nodeset.Set { return kernel.Regions(s) }

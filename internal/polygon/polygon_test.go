@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -39,7 +40,7 @@ func TestIsOrthoConvexShapes(t *testing.T) {
 		{"diagonal", set(m, grid.XY(1, 1), grid.XY(2, 2)), true},
 	}
 	for _, tc := range cases {
-		if got := IsOrthoConvex(tc.s); got != tc.want {
+		if got := kernel.IsOrthoConvex(tc.s); got != tc.want {
 			t.Errorf("%s: IsOrthoConvex = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -93,14 +94,14 @@ func TestConcaveColumnSections(t *testing.T) {
 func TestFillOnceUShape(t *testing.T) {
 	m := grid.New(10, 10)
 	u := set(m, grid.XY(1, 1), grid.XY(1, 2), grid.XY(2, 1), grid.XY(3, 1), grid.XY(3, 2))
-	filled := FillOnce(u)
+	filled := kernel.FillOnce(u)
 	if !filled.Has(grid.XY(2, 2)) {
 		t.Fatal("U cavity not filled")
 	}
 	if filled.Len() != 6 {
 		t.Fatalf("filled = %v", filled)
 	}
-	if !IsOrthoConvex(filled) {
+	if !kernel.IsOrthoConvex(filled) {
 		t.Fatal("filled U should be convex")
 	}
 }
@@ -108,7 +109,7 @@ func TestFillOnceUShape(t *testing.T) {
 func TestClosureConvexIdentity(t *testing.T) {
 	m := grid.New(10, 10)
 	l := set(m, grid.XY(2, 4), grid.XY(3, 4), grid.XY(4, 3))
-	got, passes := Closure(l)
+	got, passes := kernel.Closure(l)
 	if !got.Equal(l) || passes != 0 {
 		t.Fatalf("closure of convex region changed it: %v passes=%d", got, passes)
 	}
@@ -128,8 +129,8 @@ func TestClosureProperties(t *testing.T) {
 				s.Add(c)
 			}
 		}
-		cl, _ := Closure(s)
-		if !IsOrthoConvex(cl) {
+		cl, _ := kernel.Closure(s)
+		if !kernel.IsOrthoConvex(cl) {
 			t.Fatalf("trial %d: closure not convex: %v -> %v", trial, s, cl)
 		}
 		if !cl.ContainsAll(s) {
@@ -146,7 +147,7 @@ func TestClosureProperties(t *testing.T) {
 		added.Each(func(a grid.Coord) {
 			test := cl.Clone()
 			test.Remove(a)
-			if IsOrthoConvex(test) {
+			if kernel.IsOrthoConvex(test) {
 				t.Fatalf("trial %d: closure not minimal, %v removable", trial, a)
 			}
 		})
@@ -169,9 +170,9 @@ func TestSinglePassSufficesFor8Connected(t *testing.T) {
 			}
 			s.Add(c)
 		}
-		for _, region := range Regions8(s) {
-			once := FillOnce(region)
-			cl, _ := Closure(region)
+		for _, region := range kernel.Regions(s) {
+			once := kernel.FillOnce(region)
+			cl, _ := kernel.Closure(region)
 			if !once.Equal(cl) {
 				t.Fatalf("trial %d: single pass missed closure for %v", trial, region)
 			}
@@ -183,15 +184,15 @@ func TestRegions4vs8(t *testing.T) {
 	m := grid.New(10, 10)
 	// Two diagonal nodes: one 8-region, two 4-regions.
 	s := set(m, grid.XY(2, 2), grid.XY(3, 3))
-	if got := len(Regions8(s)); got != 1 {
-		t.Fatalf("Regions8 = %d, want 1", got)
+	if got := len(kernel.Regions(s)); got != 1 {
+		t.Fatalf("Regions = %d, want 1", got)
 	}
-	if got := len(Regions4(s)); got != 2 {
-		t.Fatalf("Regions4 = %d, want 2", got)
+	if got := len(kernel.LinkRegions(s)); got != 2 {
+		t.Fatalf("LinkRegions = %d, want 2", got)
 	}
 	// Distant nodes: separate everywhere.
 	s = set(m, grid.XY(0, 0), grid.XY(5, 5))
-	if len(Regions8(s)) != 2 || len(Regions4(s)) != 2 {
+	if len(kernel.Regions(s)) != 2 || len(kernel.LinkRegions(s)) != 2 {
 		t.Fatal("distant nodes must form two regions")
 	}
 }
@@ -203,7 +204,7 @@ func TestRegionsPartition(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Add(grid.XY(rng.Intn(m.W), rng.Intn(m.H)))
 	}
-	for _, extract := range []func(*nodeset.Set) []*nodeset.Set{Regions4, Regions8} {
+	for _, extract := range []func(*nodeset.Set) []*nodeset.Set{kernel.LinkRegions[grid.Coord, grid.Mesh], kernel.Regions[grid.Coord, grid.Mesh]} {
 		regions := extract(s)
 		union := nodeset.New(m)
 		total := 0
@@ -222,10 +223,10 @@ func TestRegionsPartition(t *testing.T) {
 
 func TestEmptyRegions(t *testing.T) {
 	m := grid.New(5, 5)
-	if got := Regions8(nodeset.New(m)); len(got) != 0 {
+	if got := kernel.Regions(nodeset.New(m)); len(got) != 0 {
 		t.Fatalf("empty set produced %d regions", len(got))
 	}
-	cl, passes := Closure(nodeset.New(m))
+	cl, passes := kernel.Closure(nodeset.New(m))
 	if cl.Len() != 0 || passes != 0 {
 		t.Fatal("closure of empty set should be empty")
 	}

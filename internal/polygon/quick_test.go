@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -33,8 +34,8 @@ func (blob) Generate(rng *rand.Rand, size int) reflect.Value {
 // Closure is idempotent: closing a closure changes nothing.
 func TestQuickClosureIdempotent(t *testing.T) {
 	f := func(b blob) bool {
-		cl, _ := Closure(b.s)
-		cl2, passes := Closure(cl)
+		cl, _ := kernel.Closure(b.s)
+		cl2, passes := kernel.Closure(cl)
 		return passes == 0 && cl2.Equal(cl)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -46,8 +47,8 @@ func TestQuickClosureIdempotent(t *testing.T) {
 func TestQuickClosureMonotone(t *testing.T) {
 	f := func(a, b blob) bool {
 		super := nodeset.Union(a.s, b.s)
-		clA, _ := Closure(a.s)
-		clSuper, _ := Closure(super)
+		clA, _ := kernel.Closure(a.s)
+		clSuper, _ := kernel.Closure(super)
 		return clSuper.ContainsAll(clA)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -58,7 +59,7 @@ func TestQuickClosureMonotone(t *testing.T) {
 // A region is orthogonal convex exactly when it has no concave sections.
 func TestQuickConvexityIffNoSections(t *testing.T) {
 	f := func(b blob) bool {
-		convex := IsOrthoConvex(b.s)
+		convex := kernel.IsOrthoConvex(b.s)
 		sections := len(ConcaveRowSections(b.s)) + len(ConcaveColumnSections(b.s))
 		return convex == (sections == 0)
 	}
@@ -70,7 +71,7 @@ func TestQuickConvexityIffNoSections(t *testing.T) {
 // Filling never shrinks a region and stays inside the bounding box.
 func TestQuickFillBounded(t *testing.T) {
 	f := func(b blob) bool {
-		filled := FillOnce(b.s)
+		filled := kernel.FillOnce(b.s)
 		if !filled.ContainsAll(b.s) {
 			return false
 		}
@@ -88,12 +89,12 @@ func TestQuickFillBounded(t *testing.T) {
 	}
 }
 
-// Regions8 partitions any set and every region's closure is convex.
+// kernel.Regions partitions any set and every region's closure is convex.
 func TestQuickRegionsClosureConvex(t *testing.T) {
 	f := func(b blob) bool {
-		for _, r := range Regions8(b.s) {
-			cl, _ := Closure(r)
-			if !IsOrthoConvex(cl) || !cl.ContainsAll(r) {
+		for _, r := range kernel.Regions(b.s) {
+			cl, _ := kernel.Closure(r)
+			if !kernel.IsOrthoConvex(cl) || !cl.ContainsAll(r) {
 				return false
 			}
 		}

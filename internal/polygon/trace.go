@@ -2,6 +2,7 @@ package polygon
 
 import (
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -214,5 +215,5 @@ func Holes(region *nodeset.Set) []*nodeset.Set {
 	if enclosed.Empty() {
 		return nil
 	}
-	return Regions4(enclosed)
+	return kernel.LinkRegions(enclosed)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -76,7 +77,7 @@ func TestOuterRingClosedCycle(t *testing.T) {
 			}
 			s.Add(c)
 		}
-		for _, region := range Regions8(s) {
+		for _, region := range kernel.Regions(s) {
 			ring := OuterRing(region)
 			for i, rc := range ring {
 				next := ring[(i+1)%len(ring)]
@@ -205,8 +206,8 @@ func TestClosureRemovesHoles(t *testing.T) {
 			}
 			s.Add(c)
 		}
-		for _, region := range Regions8(s) {
-			cl, _ := Closure(region)
+		for _, region := range kernel.Regions(s) {
+			cl, _ := kernel.Closure(region)
 			if hs := Holes(cl); hs != nil {
 				t.Fatalf("trial %d: closure still has holes %v", trial, hs)
 			}

@@ -10,17 +10,17 @@ import (
 	"repro/internal/nodeset"
 )
 
-func benchNetwork(b *testing.B) *Network {
+func benchPlanner(b *testing.B) *Planner {
 	b.Helper()
 	m := grid.New(64, 64)
 	inner := fault.NewInjector(grid.New(56, 56), fault.Clustered, 1).Inject(120)
 	faults := nodeset.New(m)
 	inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+4, c.Y+4)) })
-	return NewNetwork(m, mfp.Build(m, faults).Disabled)
+	return NewPlannerForBlocked(m, mfp.Build(m, faults).Disabled)
 }
 
 func BenchmarkRouteAcrossFaultyMesh(b *testing.B) {
-	n := benchNetwork(b)
+	n := benchPlanner(b)
 	m := n.Mesh()
 	rng := rand.New(rand.NewSource(9))
 	type pair struct{ s, d grid.Coord }
@@ -41,7 +41,7 @@ func BenchmarkRouteAcrossFaultyMesh(b *testing.B) {
 	}
 }
 
-func BenchmarkNewNetwork(b *testing.B) {
+func BenchmarkNewPlannerForBlocked(b *testing.B) {
 	m := grid.New(64, 64)
 	inner := fault.NewInjector(grid.New(56, 56), fault.Clustered, 1).Inject(120)
 	faults := nodeset.New(m)
@@ -49,6 +49,6 @@ func BenchmarkNewNetwork(b *testing.B) {
 	blocked := mfp.Build(m, faults).Disabled
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewNetwork(m, blocked)
+		NewPlannerForBlocked(m, blocked)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 	"repro/internal/polygon"
 	"repro/internal/pool"
@@ -19,12 +20,11 @@ import (
 // version, serves any number of concurrent Route/RouteAll calls — the
 // planner is read-only after construction and safe for concurrent use.
 //
-// Compared with the legacy NewNetwork path, a Planner built from an engine
-// snapshot reuses the snapshot's cached polygons instead of re-flooding
-// the disabled union (polygon.Regions8), replaces the per-region
-// map[grid.Coord]int ring index with one dense per-mesh slice, and keeps a
-// bounding box per region so pathBlocked can reject non-intersecting
-// regions without scanning the whole e-cube path.
+// A Planner built from an engine snapshot (NewPlanner) reuses the
+// snapshot's cached polygons instead of re-flooding the disabled union
+// the way NewPlannerForBlocked does. Either way the ring index is one
+// dense per-mesh slice, and a bounding box per region lets pathBlocked
+// reject non-intersecting regions without scanning the whole e-cube path.
 type Planner struct {
 	mesh    grid.Mesh
 	blocked *nodeset.Set // union of the regions; shared, read-only
@@ -51,22 +51,25 @@ type Planner struct {
 // snapshot's cached per-component polygons and disabled union instead of
 // recomputing them from the fault set. Polygons of distinct components may
 // touch or overlap once closed; such polygons are merged into one detour
-// region, exactly as the legacy path's re-flood of the disabled union
-// would, so routes are identical to NewNetwork(mesh, snap.Disabled()).
+// region, exactly as a re-flood of the disabled union would, so routes
+// are identical to NewPlannerForBlocked(mesh, snap.Disabled()).
 func NewPlanner(snap *engine.Snapshot) *Planner {
 	return newPlanner(snap.Mesh(), snap.Disabled(), mergeTouching(snap.Mesh(), snap.Polygons()))
 }
 
-// NewPlannerForBlocked prepares routing around an arbitrary blocked set;
-// its 8-connected regions form the faulty polygons the router detours
-// around. It is the planner behind the legacy NewNetwork API. The blocked
-// set is cloned, so later caller mutations do not corrupt the planner.
+// NewPlannerForBlocked prepares routing around an arbitrary blocked set
+// (every node excluded from routing, faulty and disabled); its 8-connected
+// regions form the faulty polygons the router detours around. The caller
+// is responsible for those regions being orthogonal convex (use the mfp
+// or dmfp packages): convexity is what bounds detours and guarantees
+// deadlock freedom. The blocked set is cloned, so later caller mutations
+// do not corrupt the planner.
 func NewPlannerForBlocked(m grid.Mesh, blocked *nodeset.Set) *Planner {
 	if m.Torus {
 		panic("routing: extended e-cube is defined for non-torus meshes")
 	}
 	b := blocked.Clone()
-	return newPlanner(m, b, polygon.Regions8(b))
+	return newPlanner(m, b, kernel.Regions(b))
 }
 
 // mergeTouching groups per-component polygons whose union is 8-connected
@@ -130,7 +133,7 @@ func mergeTouching(m grid.Mesh, polygons []*nodeset.Set) []*nodeset.Set {
 		out = append(out, u)
 	}
 	// Disjoint regions have unique first indices, so this sort alone pins
-	// the row-major seed order polygon.Regions8 discovers regions in
+	// the row-major seed order kernel.Regions discovers regions in
 	// (map iteration order above does not matter).
 	sort.Slice(out, func(a, b int) bool { return out[a].FirstIndex() < out[b].FirstIndex() })
 	return out

@@ -35,9 +35,10 @@ func sameRoute(a, b *Route) bool {
 
 // TestPlannerMatchesLegacyOnSnapshots is the differential gate of the
 // snapshot construction path: a planner built from an engine snapshot
-// (reusing the cached per-component polygons, merging the ones that touch)
-// must route byte-identically to the legacy NewNetwork path, which
-// re-floods the disabled union from scratch.
+// (reusing the cached per-component polygons, merging the ones that touch
+// with mergeTouching) must route byte-identically to NewPlannerForBlocked
+// over the snapshot's disabled union, which re-floods it into 8-connected
+// regions from scratch: two different region constructions.
 func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 	m := grid.New(24, 24)
 	for seed := int64(0); seed < 8; seed++ {
@@ -48,13 +49,13 @@ func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 			})
 			snap := snapshotFor(t, m, faults)
 			p := NewPlanner(snap)
-			legacy := NewNetwork(m, snap.Disabled())
+			reflood := NewPlannerForBlocked(m, snap.Disabled())
 
-			if got, want := len(p.Regions()), len(legacy.Regions()); got != want {
-				t.Fatalf("seed %d %v: planner has %d regions, legacy %d", seed, model, got, want)
+			if got, want := len(p.Regions()), len(reflood.Regions()); got != want {
+				t.Fatalf("seed %d %v: planner has %d regions, reflood %d", seed, model, got, want)
 			}
 			for i, reg := range p.Regions() {
-				if !reg.Equal(legacy.Regions()[i]) {
+				if !reg.Equal(reflood.Regions()[i]) {
 					t.Fatalf("seed %d %v: region %d differs", seed, model, i)
 				}
 			}
@@ -64,18 +65,18 @@ func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 				src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 				dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 				pr, perr := p.Route(src, dst)
-				lr, lerr := legacy.Route(src, dst)
+				lr, lerr := reflood.Route(src, dst)
 				if (perr == nil) != (lerr == nil) {
-					t.Fatalf("seed %d %v %v->%v: planner err %v, legacy err %v", seed, model, src, dst, perr, lerr)
+					t.Fatalf("seed %d %v %v->%v: planner err %v, reflood err %v", seed, model, src, dst, perr, lerr)
 				}
 				if perr != nil {
 					if perr.Error() != lerr.Error() {
-						t.Fatalf("seed %d %v %v->%v: planner err %q, legacy err %q", seed, model, src, dst, perr, lerr)
+						t.Fatalf("seed %d %v %v->%v: planner err %q, reflood err %q", seed, model, src, dst, perr, lerr)
 					}
 					continue
 				}
 				if !sameRoute(pr, lr) {
-					t.Fatalf("seed %d %v %v->%v: planner path %v, legacy path %v", seed, model, src, dst, pr.Path(), lr.Path())
+					t.Fatalf("seed %d %v %v->%v: planner path %v, reflood path %v", seed, model, src, dst, pr.Path(), lr.Path())
 				}
 			}
 		}
@@ -84,8 +85,8 @@ func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 
 // TestPlannerMergesTouchingPolygons: two fault components whose closures
 // touch (B's single fault sits 4-adjacent to a cell A's closure filled in)
-// must detour as one region, exactly like the legacy re-flood of the
-// disabled union.
+// must detour as one region, exactly like NewPlannerForBlocked's re-flood
+// of the disabled union.
 func TestPlannerMergesTouchingPolygons(t *testing.T) {
 	m := grid.New(12, 12)
 	faults := nodeset.FromCoords(m,
@@ -103,9 +104,9 @@ func TestPlannerMergesTouchingPolygons(t *testing.T) {
 	if len(p.Regions()) != 1 {
 		t.Fatalf("touching polygons must merge into 1 detour region, got %d", len(p.Regions()))
 	}
-	legacy := NewNetwork(m, snap.Disabled())
-	if !p.Regions()[0].Equal(legacy.Regions()[0]) {
-		t.Fatal("merged region differs from the legacy re-flood")
+	reflood := NewPlannerForBlocked(m, snap.Disabled())
+	if !p.Regions()[0].Equal(reflood.Regions()[0]) {
+		t.Fatal("merged region differs from the re-flood of the disabled union")
 	}
 	for _, q := range []Query{
 		{Src: grid.XY(0, 0), Dst: grid.XY(11, 11)},
@@ -113,12 +114,12 @@ func TestPlannerMergesTouchingPolygons(t *testing.T) {
 		{Src: grid.XY(2, 0), Dst: grid.XY(2, 11)},
 	} {
 		pr, perr := p.Route(q.Src, q.Dst)
-		lr, lerr := legacy.Route(q.Src, q.Dst)
+		lr, lerr := reflood.Route(q.Src, q.Dst)
 		if perr != nil || lerr != nil {
 			t.Fatalf("%v->%v: errs %v / %v", q.Src, q.Dst, perr, lerr)
 		}
 		if !sameRoute(pr, lr) {
-			t.Fatalf("%v->%v: planner %v, legacy %v", q.Src, q.Dst, pr.Path(), lr.Path())
+			t.Fatalf("%v->%v: planner %v, reflood %v", q.Src, q.Dst, pr.Path(), lr.Path())
 		}
 	}
 }
@@ -140,7 +141,7 @@ func pinchedRegion(m grid.Mesh) *nodeset.Set {
 // into the dead-end slot at (6,5) and back out.
 func TestPinchedRingEntryTakesShortArc(t *testing.T) {
 	m := grid.New(16, 16)
-	n := NewNetwork(m, pinchedRegion(m))
+	n := NewPlannerForBlocked(m, pinchedRegion(m))
 	r, err := n.Route(grid.XY(7, 2), grid.XY(7, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +171,7 @@ func TestPinchedRingEntryTakesShortArc(t *testing.T) {
 // not lose them.
 func TestPinchedRingSlotDestination(t *testing.T) {
 	m := grid.New(16, 16)
-	n := NewNetwork(m, pinchedRegion(m))
+	n := NewPlannerForBlocked(m, pinchedRegion(m))
 	for _, dst := range []grid.Coord{grid.XY(5, 4), grid.XY(6, 5)} {
 		r, err := n.Route(grid.XY(0, 0), dst)
 		if err != nil {

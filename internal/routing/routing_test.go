@@ -14,7 +14,7 @@ import (
 
 func TestFaultFreeIsMinimal(t *testing.T) {
 	m := grid.New(10, 10)
-	n := NewNetwork(m, nodeset.New(m))
+	n := NewPlannerForBlocked(m, nodeset.New(m))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
 		src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
@@ -41,7 +41,7 @@ func TestFaultFreeIsMinimal(t *testing.T) {
 func TestFigure2Example(t *testing.T) {
 	m := grid.New(8, 8)
 	blocked := nodeset.FromCoords(m, grid.XY(2, 4), grid.XY(3, 4), grid.XY(4, 3))
-	n := NewNetwork(m, blocked)
+	n := NewPlannerForBlocked(m, blocked)
 	r, err := n.Route(grid.XY(1, 3), grid.XY(6, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestFigure2Example(t *testing.T) {
 
 func TestMessageTypeTransitions(t *testing.T) {
 	m := grid.New(8, 8)
-	n := NewNetwork(m, nodeset.New(m))
+	n := NewPlannerForBlocked(m, nodeset.New(m))
 	r, err := n.Route(grid.XY(1, 1), grid.XY(4, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestVCAssignment(t *testing.T) {
 func TestBlockedEndpoints(t *testing.T) {
 	m := grid.New(8, 8)
 	blocked := nodeset.FromCoords(m, grid.XY(3, 3))
-	n := NewNetwork(m, blocked)
+	n := NewPlannerForBlocked(m, blocked)
 	if _, err := n.Route(grid.XY(3, 3), grid.XY(5, 5)); !errors.Is(err, ErrBlockedEndpoint) {
 		t.Fatalf("blocked source: err = %v", err)
 	}
@@ -134,7 +134,7 @@ func TestColumnPhaseDetour(t *testing.T) {
 	m := grid.New(10, 10)
 	// A bar straddling the destination column during the column phase.
 	blocked := nodeset.FromCoords(m, grid.XY(4, 5), grid.XY(5, 5), grid.XY(6, 5))
-	n := NewNetwork(m, blocked)
+	n := NewPlannerForBlocked(m, blocked)
 	r, err := n.Route(grid.XY(5, 2), grid.XY(5, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestBorderRegionFails(t *testing.T) {
 	for y := 2; y <= 5; y++ {
 		blocked.Add(grid.XY(7, y))
 	}
-	n := NewNetwork(m, blocked)
+	n := NewPlannerForBlocked(m, blocked)
 	_, err := n.Route(grid.XY(6, 0), grid.XY(6, 7))
 	if err == nil {
 		return // routed around without halo: also acceptable (west side free)
@@ -177,7 +177,7 @@ func TestTorusPanics(t *testing.T) {
 			t.Fatal("torus network should panic")
 		}
 	}()
-	NewNetwork(grid.NewTorus(4, 4), nodeset.New(grid.NewTorus(4, 4)))
+	NewPlannerForBlocked(grid.NewTorus(4, 4), nodeset.New(grid.NewTorus(4, 4)))
 }
 
 // Random MFP configurations: every routable pair must be delivered and
@@ -195,7 +195,7 @@ func TestRandomConfigurations(t *testing.T) {
 		inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
 
 		res := mfp.Build(m, faults)
-		n := NewNetwork(m, res.Disabled)
+		n := NewPlannerForBlocked(m, res.Disabled)
 		rng := rand.New(rand.NewSource(seed))
 		delivered := 0
 		for i := 0; i < 200; i++ {
@@ -238,7 +238,7 @@ func TestDeadlockFreeAroundRectangularBlocks(t *testing.T) {
 
 		// The FB model: disabled regions are the rectangular faulty blocks.
 		res := block.Build(m, faults)
-		n := NewNetwork(m, res.Unsafe)
+		n := NewPlannerForBlocked(m, res.Unsafe)
 		g := NewDependencyGraph()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 300; i++ {
@@ -270,7 +270,7 @@ func TestDetourOverheadBounded(t *testing.T) {
 			blocked.Add(grid.XY(x, y))
 		}
 	}
-	n := NewNetwork(m, blocked)
+	n := NewPlannerForBlocked(m, blocked)
 	r, err := n.Route(grid.XY(9, 2), grid.XY(9, 17))
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestDependencyGraphCycleDetection(t *testing.T) {
 
 func TestRouteAccessors(t *testing.T) {
 	m := grid.New(6, 6)
-	n := NewNetwork(m, nodeset.New(m))
+	n := NewPlannerForBlocked(m, nodeset.New(m))
 	if n.Mesh() != m {
 		t.Fatal("Mesh accessor")
 	}

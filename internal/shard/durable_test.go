@@ -51,7 +51,7 @@ func TestDurableRoundtrip(t *testing.T) {
 	if len(names) != 1 || names[0] != "m" {
 		t.Fatalf("recovered %v", names)
 	}
-	sh2, err := mgr2.Get("m")
+	sh2, err := Get[grid.Coord, grid.Mesh](mgr2, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDurableCompaction(t *testing.T) {
 	if _, err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sh2, err := mgr2.Get("m")
+	sh2, err := Get[grid.Coord, grid.Mesh](mgr2, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDurableTornTail(t *testing.T) {
 	if _, err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sh2, err := mgr2.Get("m")
+	sh2, err := Get[grid.Coord, grid.Mesh](mgr2, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestDurable3D(t *testing.T) {
 	if _, err := mgr2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr2.Get("vol"); err != ErrDimension && err == nil {
+	if _, err := Get[grid.Coord, grid.Mesh](mgr2, "vol"); err != ErrDimension && err == nil {
 		t.Fatal("3-D mesh recovered as 2-D")
 	}
-	sh2, err := mgr2.Get3("vol")
+	sh2, err := Get[grid3.Coord, grid3.Mesh](mgr2, "vol")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRecoverSurvivesEviction(t *testing.T) {
 		t.Fatalf("recovered %v", recovered)
 	}
 	for _, name := range names {
-		sh, err := mgr2.Get(name)
+		sh, err := Get[grid.Coord, grid.Mesh](mgr2, name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // write is safe: the run goroutine only touches s.faults while processing
 // a request, none is in flight here, and the next request's channel send
 // orders the write before the goroutine's read.
-func poison(s *Shard, c grid.Coord) { s.faults.Add(c) }
+func poison(s *Shard[grid.Coord, grid.Mesh], c grid.Coord) { s.faults.Add(c) }
 
 // TestPoisonedFaultSetLatchesFailure: an engine/persisted-set divergence
 // must not panic the process. The shard latches the failure, the failing

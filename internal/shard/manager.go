@@ -9,11 +9,11 @@
 // on a resident shard are wait-free even while batches land.
 //
 // Since the kernel refactor the namespace is dimension-mixed: Create
-// registers a 2-D mesh (a *Shard, with the routing plane), Create3 a 3-D
-// one (a *Shard3, serving polytopes), and both run the same generic shard
-// machinery. Lookup returns the dimension-erased Tenant for callers like
-// mfpd that dispatch per dimension; Get and Get3 resolve to the concrete
-// shard types.
+// registers a 2-D mesh (with the routing plane), Create3 a 3-D one
+// (serving polytopes), and both run the same generic Shard[C, T].
+// Lookup returns the dimension-erased Tenant for callers like mfpd that
+// dispatch per dimension; Get resolves a name to one concrete
+// instantiation.
 //
 // Memory is bounded by an LRU policy over resident engines
 // (Config.MaxResident): the manager marks the least-recently-used shards
@@ -67,8 +67,8 @@ var (
 	// failure is observable in Stats, but every Apply/Read fails until the
 	// mesh is deleted and recreated.
 	ErrShardFailed = errors.New("shard: mesh failed")
-	// ErrDimension is returned by Get/Get3 when the name resolves to a
-	// mesh of the other dimensionality.
+	// ErrDimension is returned by Get when the name resolves to a mesh of
+	// another dimensionality.
 	ErrDimension = errors.New("shard: mesh has a different dimensionality")
 	// ErrNoPlanner is returned by Planner on topologies without a routing
 	// plane (3-D meshes; the extended e-cube router is 2-D).
@@ -126,8 +126,9 @@ const (
 
 // Tenant is the dimension-erased face of a shard: what the manager's
 // bookkeeping and dimension-agnostic callers (listing, deletion, stats)
-// need. The concrete types behind it are *Shard (2-D) and *Shard3 (3-D);
-// dispatch per dimension with a type switch, as mfpd does.
+// need. The concrete types behind it are the *Shard instantiations
+// (grid.Coord/grid.Mesh and grid3.Coord/grid3.Mesh); dispatch per
+// dimension with a type switch, as mfpd does.
 type Tenant interface {
 	// Name returns the shard's mesh name.
 	Name() string
@@ -180,14 +181,14 @@ func NewManager(cfg Config) *Manager {
 // Create registers a new named 2-D mesh and starts its shard. The engine
 // is built eagerly so an unsupported mesh (torus, empty) fails here, not
 // on first use.
-func (m *Manager) Create(name string, mesh grid.Mesh) (*Shard, error) {
+func (m *Manager) Create(name string, mesh grid.Mesh) (*Shard[grid.Coord, grid.Mesh], error) {
 	return create(m, name, mesh, newEngine2, newPlanner2, false)
 }
 
 // Create3 registers a new named 3-D mesh and starts its shard; the mesh is
 // served by the 3-D engine (polytopes, cuboid unsafe set) and has no
 // routing plane.
-func (m *Manager) Create3(name string, mesh grid3.Mesh) (*Shard3, error) {
+func (m *Manager) Create3(name string, mesh grid3.Mesh) (*Shard[grid3.Coord, grid3.Mesh], error) {
 	return create[grid3.Coord](m, name, mesh, newEngine3, nil, false)
 }
 
@@ -241,7 +242,7 @@ func (m *Manager) walDir(name string) string { return filepath.Join(m.cfg.DataDi
 func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	newEngine func(T) (*kernel.Engine[C, T], error),
 	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner,
-	recovered bool) (*shardOf[C, T], error) {
+	recovered bool) (*Shard[C, T], error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("shard: invalid mesh name %q (want 1-64 chars of [a-zA-Z0-9._-])", name)
 	}
@@ -297,7 +298,7 @@ func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 }
 
 // Lookup resolves a mesh name to its dimension-erased Tenant; type-switch
-// on *Shard / *Shard3 for dimension-specific access.
+// on the *Shard instantiations (or use Get) for dimension-specific access.
 func (m *Manager) Lookup(name string) (Tenant, error) {
 	m.mu.Lock()
 	s, ok := m.shards[name]
@@ -312,30 +313,18 @@ func (m *Manager) Lookup(name string) (Tenant, error) {
 	return s, nil
 }
 
-// Get resolves a mesh name to its 2-D shard; a name registered as 3-D
-// fails with ErrDimension.
-func (m *Manager) Get(name string) (*Shard, error) {
+// Get resolves a mesh name to its shard of one dimensionality, e.g.
+// Get[grid.Coord, grid.Mesh](m, name); a name registered with another
+// dimensionality fails with ErrDimension.
+func Get[C any, T kernel.Topology[C]](m *Manager, name string) (*Shard[C, T], error) {
 	t, err := m.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	s, ok := t.(*Shard)
+	s, ok := t.(*Shard[C, T])
 	if !ok {
-		return nil, fmt.Errorf("%w: %q is not 2-D", ErrDimension, name)
-	}
-	return s, nil
-}
-
-// Get3 resolves a mesh name to its 3-D shard; a name registered as 2-D
-// fails with ErrDimension.
-func (m *Manager) Get3(name string) (*Shard3, error) {
-	t, err := m.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := t.(*Shard3)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q is not 3-D", ErrDimension, name)
+		var mesh T
+		return nil, fmt.Errorf("%w: %q is not %d-D", ErrDimension, name, mesh.Axes())
 	}
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine3"
+	"repro/internal/grid"
 	"repro/internal/grid3"
 	"repro/internal/kernel"
 	"repro/internal/mfp3d"
@@ -35,7 +36,7 @@ func TestShard3ApplyReadAndRebuild(t *testing.T) {
 	}
 
 	faults := nodeset3.FromCoords(cube.Mesh(), grid3.XYZ(1, 1, 1), grid3.XYZ(2, 2, 2), grid3.XYZ(5, 1, 6))
-	verify := func(v View3) {
+	verify := func(v View[grid3.Coord, grid3.Mesh]) {
 		t.Helper()
 		ref := mfp3d.Build(cube.Mesh(), faults)
 		if !v.Snapshot.Faults().Equal(ref.Faults) {
@@ -59,10 +60,10 @@ func TestShard3ApplyReadAndRebuild(t *testing.T) {
 	if st := cube.Stats(); st.Depth != 8 || st.Faults != 3 {
 		t.Fatalf("stats %+v", st)
 	}
-	if _, err := m.Get("cube"); !errors.Is(err, ErrDimension) {
+	if _, err := Get[grid.Coord, grid.Mesh](m, "cube"); !errors.Is(err, ErrDimension) {
 		t.Fatalf("Get(cube) = %v, want ErrDimension", err)
 	}
-	if _, err := m.Get3("cube"); err != nil {
+	if _, err := Get[grid3.Coord, grid3.Mesh](m, "cube"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,8 +84,8 @@ func TestShard3ApplyReadAndRebuild(t *testing.T) {
 	if err := m.Delete("cube"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Get3("cube"); !errors.Is(err, ErrUnknownMesh) {
-		t.Fatalf("Get3 after delete: %v", err)
+	if _, err := Get[grid3.Coord, grid3.Mesh](m, "cube"); !errors.Is(err, ErrUnknownMesh) {
+		t.Fatalf("Get after delete: %v", err)
 	}
 	m.Close()
 }

@@ -18,7 +18,7 @@ func clear(x, y int) engine.Event { return engine.Event{Op: engine.Clear, Node: 
 
 // checkAgainstCore differentially verifies a view against a from-scratch
 // core.Construct over the expected fault set.
-func checkAgainstCore(t *testing.T, v View, mesh grid.Mesh, faults *nodeset.Set) {
+func checkAgainstCore(t *testing.T, v View[grid.Coord, grid.Mesh], mesh grid.Mesh, faults *nodeset.Set) {
 	t.Helper()
 	snap := v.Snapshot
 	if !snap.Faults().Equal(faults) {
@@ -62,10 +62,10 @@ func TestCreateGetDeleteList(t *testing.T) {
 	if _, err := m.Create("b", grid.New(4, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := m.Get("a"); err != nil || got != sa {
+	if got, err := Get[grid.Coord, grid.Mesh](m, "a"); err != nil || got != sa {
 		t.Fatalf("Get(a) = %v, %v", got, err)
 	}
-	if _, err := m.Get("zzz"); !errors.Is(err, ErrUnknownMesh) {
+	if _, err := Get[grid.Coord, grid.Mesh](m, "zzz"); !errors.Is(err, ErrUnknownMesh) {
 		t.Fatalf("Get(zzz): %v", err)
 	}
 	ls := m.List()
@@ -272,7 +272,7 @@ func TestConcurrentUseAndDelete(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 100; i++ {
-				s, err := m.Get(names[rng.Intn(len(names))])
+				s, err := Get[grid.Coord, grid.Mesh](m, names[rng.Intn(len(names))])
 				if err != nil {
 					continue // deleted concurrently
 				}
@@ -310,7 +310,7 @@ func TestConcurrentUseAndDelete(t *testing.T) {
 
 	// Whatever survived must still be differentially sound.
 	for _, n := range names[:3] {
-		s, err := m.Get(n)
+		s, err := Get[grid.Coord, grid.Mesh](m, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,17 +16,17 @@ func BenchmarkRun200Messages(b *testing.B) {
 	inner := fault.NewInjector(grid.New(18, 18), fault.Clustered, 5).Inject(20)
 	faults := nodeset.New(m)
 	inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-	net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+	planner := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 	rng := rand.New(rand.NewSource(1))
 	var routes []*routing.Route
 	for len(routes) < 200 {
 		src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 		dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
-		if src == dst || net.Blocked(src) || net.Blocked(dst) {
+		if src == dst || planner.Blocked(src) || planner.Blocked(dst) {
 			continue
 		}
-		if r, err := net.Route(src, dst); err == nil {
+		if r, err := planner.Route(src, dst); err == nil {
 			routes = append(routes, r)
 		}
 	}

@@ -141,7 +141,7 @@ func TestNoDeadlockAroundFaultyBlocks(t *testing.T) {
 		inner := fault.NewInjector(grid.New(meshSize-6, meshSize-6), fault.Clustered, seed).Inject(18)
 		faults := nodeset.New(m)
 		inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-		net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+		planner := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 		s := New(Config{FlitLen: 4})
 		rng := rand.New(rand.NewSource(seed))
@@ -149,10 +149,10 @@ func TestNoDeadlockAroundFaultyBlocks(t *testing.T) {
 		for i := 0; injected < 60 && i < 600; i++ {
 			src := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
 			dst := grid.XY(rng.Intn(m.W), rng.Intn(m.H))
-			if src == dst || net.Blocked(src) || net.Blocked(dst) {
+			if src == dst || planner.Blocked(src) || planner.Blocked(dst) {
 				continue
 			}
-			r, err := net.Route(src, dst)
+			r, err := planner.Route(src, dst)
 			if err != nil {
 				continue
 			}
