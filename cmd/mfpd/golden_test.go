@@ -73,6 +73,12 @@ var goldenScript = []struct{ method, path, body string }{
 	{"DELETE", "/v1/meshes/g3", ``},
 	{"GET", "/v1/meshes/g3/stats", ``},
 	{"GET", "/v1/meshes", ``},
+
+	// Read-only endpoints refuse every method but GET and HEAD.
+	{"POST", "/v1/meshes/g2/polygons", `{}`},
+	{"DELETE", "/v1/meshes/g2/status?x=1&y=1", ``},
+	{"PUT", "/v1/meshes/g2/stats", ``},
+	{"POST", "/healthz", ``},
 }
 
 // goldenTranscript runs goldenScript through the full handler stack and

@@ -173,6 +173,23 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 }
 
+// writeMethodNotAllowed answers a wrong method with the 405 envelope and
+// the Allow header listing the methods the resource does accept.
+func writeMethodNotAllowed(w http.ResponseWriter, allow, format string, args ...any) {
+	w.Header().Set("Allow", allow)
+	writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, format, args...)
+}
+
+// allowRead admits GET and HEAD, the only methods of a read-only resource
+// (healthz, status, polygons, stats), and answers anything else with 405.
+func allowRead(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		return true
+	}
+	writeMethodNotAllowed(w, "GET, HEAD", "%s is read-only: use GET or HEAD", r.URL.Path)
+	return false
+}
+
 // writeShardError maps shard-layer errors onto HTTP statuses: a name that
 // resolves to nothing is 404, a mesh deleted (or a manager shut down) while
 // the request was in flight is 409 — the caller raced an administrative
@@ -196,6 +213,9 @@ func writeShardError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if !allowRead(w, r) {
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
@@ -265,15 +285,14 @@ func (s *server) handleMeshes(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, stats)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET lists meshes, POST creates one")
+		writeMethodNotAllowed(w, "GET, POST", "GET lists meshes, POST creates one")
 	}
 }
 
 // handleMesh routes /v1/meshes/{name}[/...]: DELETE on the bare name, and
 // the sub-resources of the mesh's dimensionality. Both dimensionalities
-// share the generic serveMesh; only the 2-D arm adds route, and only the
-// wire type of the coordinates differs. rest is the path after the
-// /v1/meshes/ segment.
+// share the generic serveMesh; only the 2-D arm adds route. rest is the
+// path after the /v1/meshes/ segment.
 func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string) {
 	name, sub, _ := strings.Cut(rest, "/")
 	t, err := s.mgr.Lookup(name)
@@ -283,7 +302,7 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string)
 	}
 	if sub == "" {
 		if r.Method != http.MethodDelete {
-			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "DELETE removes the mesh; its data lives under /v1/meshes/%s/...", name)
+			writeMethodNotAllowed(w, "DELETE", "DELETE removes the mesh; its data lives under /v1/meshes/%s/...", name)
 			return
 		}
 		if err := s.mgr.Delete(name); err != nil {
@@ -299,27 +318,26 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string)
 			s.handleRoute(w, r, sh)
 			return
 		}
-		serveMesh(w, r, sh, sub, toXY)
+		serveMesh(w, r, sh, sub)
 	case *shard.Shard[grid3.Coord, grid3.Mesh]:
-		serveMesh(w, r, sh, sub, toXYZ)
+		serveMesh(w, r, sh, sub)
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, "unknown mesh kind for %s", name)
 	}
 }
 
 // serveMesh serves the events, status, polygons and stats sub-resources
-// of one mesh of any dimensionality; wire converts a coordinate to its
-// JSON shape in polygon replies.
-func serveMesh[C any, T kernel.Topology[C], W any](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], sub string, wire func(C) W) {
+// of one mesh of any dimensionality.
+func serveMesh[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], sub string) {
 	switch sub {
 	case "events":
 		handleEvents(w, r, sh)
 	case "status":
 		handleStatus(w, r, sh)
 	case "polygons":
-		handlePolygons(w, r, sh, wire)
+		handlePolygons(w, r, sh)
 	case "stats":
-		handleStats(w, sh)
+		handleStats(w, r, sh)
 	case "route":
 		writeError(w, http.StatusNotFound, codeNotFound, "routing is 2-D only; mesh %s is %d-D", sh.Name(), sh.Mesh().Axes())
 	default:
@@ -341,7 +359,7 @@ type eventsReply struct {
 
 func handleEvents[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a JSON array of events")
+		writeMethodNotAllowed(w, "POST", "POST a JSON array of events")
 		return
 	}
 	events, err := kernel.DecodeEvents[C](http.MaxBytesReader(w, r.Body, maxEventBody))
@@ -376,6 +394,9 @@ type statusReply struct {
 var axisParams = [...]string{"x", "y", "z"}
 
 func handleStatus[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
+	if !allowRead(w, r) {
+		return
+	}
 	mesh := sh.Mesh()
 	axes := mesh.Axes()
 	query := r.URL.Query()
@@ -406,61 +427,32 @@ func handleStatus[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Re
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// xy and xyz are the wire shapes of 2-D and 3-D coordinates in polygon
-// and route replies: plain structs, so encoding/json encodes them without
-// a per-coordinate MarshalJSON call.
+// xy is the wire shape of a 2-D coordinate in route requests and replies.
 type xy struct {
 	X int `json:"x"`
 	Y int `json:"y"`
 }
 
-type xyz struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-	Z int `json:"z"`
-}
-
 func toXY(c grid.Coord) xy { return xy{c.X, c.Y} }
 
-func toXYZ(c grid3.Coord) xyz { return xyz{c.X, c.Y, c.Z} }
-
-// wireCoords lists a set's nodes in index (row-major) order as wire
-// coordinates.
-func wireCoords[C any, T kernel.Topology[C], W any](set *kernel.Set[C, T], wire func(C) W) []W {
-	out := make([]W, 0, set.Len())
-	set.Each(func(c C) { out = append(out, wire(c)) })
-	return out
-}
-
-type polygonReply[W any] struct {
-	// Faults are the component's faulty nodes, Polygon its minimum
-	// faulty polygon (polytope on a 3-D mesh; faults included), both in
-	// index order. The field name is "polygon" in every dimensionality,
-	// so 2-D and 3-D replies decode with one shape.
-	Faults  []W `json:"faults"`
-	Polygon []W `json:"polygon"`
-}
-
-type polygonsReply[W any] struct {
-	Version  uint64            `json:"version"`
-	Polygons []polygonReply[W] `json:"polygons"`
-}
-
-func handlePolygons[C any, T kernel.Topology[C], W any](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], wire func(C) W) {
-	v, err := sh.Read()
+// handlePolygons serves every component's faults and minimum polygon
+// (polytope in 3-D). The body comes from the shard's per-version memo,
+// which re-encodes only the components that changed since the last
+// memoized reply, and goes out with a Content-Length in one Write.
+func handlePolygons[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
+	if !allowRead(w, r) {
+		return
+	}
+	body, _, err := sh.PolygonsBody(polygonsWire[C, T]{})
 	if err != nil {
 		writeShardError(w, err)
 		return
 	}
-	snap := v.Snapshot
-	reply := polygonsReply[W]{Version: v.Version, Polygons: make([]polygonReply[W], len(snap.Polygons()))}
-	for i, poly := range snap.Polygons() {
-		reply.Polygons[i] = polygonReply[W]{
-			Faults:  wireCoords(snap.Components()[i], wire),
-			Polygon: wireCoords(poly, wire),
-		}
-	}
-	writeJSON(w, http.StatusOK, reply)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // routeRequest is the /route body: either one pair (src + dst) or a batch
@@ -522,7 +514,7 @@ func routeStatus(err error) (int, string) {
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard[grid.Coord, grid.Mesh]) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
+		writeMethodNotAllowed(w, "POST", `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
 		return
 	}
 	var req routeRequest
@@ -606,7 +598,10 @@ type statsReply struct {
 	MeanPolygonSize   *float64 `json:"mean_polygon_size,omitempty"`
 }
 
-func handleStats[C any, T kernel.Topology[C]](w http.ResponseWriter, sh *shard.Shard[C, T]) {
+func handleStats[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
+	if !allowRead(w, r) {
+		return
+	}
 	reply := statsReply{Stats: sh.Stats()}
 	if v, ok := sh.Peek(); ok {
 		snap := v.Snapshot

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -100,6 +102,56 @@ func TestErrorEnvelope(t *testing.T) {
 		if reply := envelope(tc.resp); reply.Error.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, reply.Error.Code, tc.code)
 		}
+	}
+
+	// Read-only endpoints answer any method but GET and HEAD with the 405
+	// envelope and an Allow header; HEAD gets the GET headers, no body.
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/meshes/m/polygons"},
+		{http.MethodDelete, "/v1/meshes/m/status?x=1&y=1"},
+		{http.MethodPut, "/v1/meshes/m/stats"},
+		{http.MethodPost, "/healthz"},
+	} {
+		resp := do(tc.method, tc.path)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+		}
+		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+			t.Errorf("%s %s: Allow %q, want \"GET, HEAD\"", tc.method, tc.path, allow)
+		}
+		if reply := envelope(resp); reply.Error.Code != "method_not_allowed" {
+			t.Errorf("%s %s: code %q", tc.method, tc.path, reply.Error.Code)
+		}
+	}
+	for _, path := range []string{"/v1/meshes/m/polygons", "/v1/meshes/m/status?x=1&y=1", "/v1/meshes/m/stats", "/healthz"} {
+		resp := do(http.MethodHead, path)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("HEAD %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+	head := do(http.MethodHead, "/v1/meshes/m/polygons")
+	head.Body.Close()
+	full := do(http.MethodGet, "/v1/meshes/m/polygons")
+	body, err := io.ReadAll(full.Body)
+	full.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.ContentLength != int64(len(body)) || full.ContentLength != int64(len(body)) {
+		t.Errorf("polygons Content-Length: HEAD %d, GET %d, body %d bytes", head.ContentLength, full.ContentLength, len(body))
 	}
 
 	// Blocked endpoints map to their own code so routing clients can

@@ -24,6 +24,10 @@ var shardMetrics = struct {
 	plannerBuilds  *obs.Counter
 	meshes         *obs.Gauge
 	resident       *obs.Gauge
+	// fragmentsReused and fragmentsEncoded split the polygons reply's
+	// per-component fragments by how Shard.PolygonsBody produced them.
+	fragmentsReused  *obs.Counter
+	fragmentsEncoded *obs.Counter
 }{
 	requests: obs.Default.Counter("shard_requests_total",
 		"Event submissions processed by shard mailboxes (including rejected ones)."),
@@ -55,4 +59,14 @@ var shardMetrics = struct {
 		"Meshes currently hosted (resident or evicted)."),
 	resident: obs.Default.Gauge("shard_resident_engines",
 		"Shards whose engine is currently in memory."),
+	fragmentsReused:  polygonsFragments.With("reused"),
+	fragmentsEncoded: polygonsFragments.With("encoded"),
 }
+
+// polygonsFragments counts the polygons reply's per-component fragments
+// by outcome: reused (copied from the previous version's memoized body)
+// or encoded. It carries the daemon's prefix because it describes a /v1
+// reply; the shard is where the reuse decision is made.
+var polygonsFragments = obs.Default.CounterVec("mfpd_polygons_fragments_total",
+	"Per-component fragments of polygons replies built at a new version, by outcome: reused (copied from the previous memoized body) or encoded.",
+	"outcome")

@@ -131,18 +131,13 @@ type Shard[C any, T kernel.Topology[C]] struct {
 	// subsequent Apply/Read fails with ErrShardFailed.
 	failed atomic.Pointer[string]
 
-	// planner memoizes one routing planner per shard version, shared by
-	// every concurrent route query at that version; plannerMu single-flights
-	// the build on a miss. Event churn moves the version and so invalidates
-	// the entry for free; eviction drops it outright, and plannerEpoch
-	// (bumped by every eviction and failure latch) keeps a build that was
-	// in flight across the drop from re-caching the evicted snapshot's
-	// memory. The route counters are atomics, not statsMu fields: the
-	// cache-hit path exists to keep concurrent route serving free of
-	// shared locks.
-	planner       atomic.Pointer[plannerEntry]
-	plannerMu     sync.Mutex
-	plannerEpoch  atomic.Uint64
+	// planners memoizes one routing planner per shard version, shared by
+	// every concurrent route query at that version, and bodies the encoded
+	// polygons reply (see memo). The route counters are atomics, not
+	// statsMu fields: the cache-hit path exists to keep concurrent route
+	// serving free of shared locks.
+	planners      memo[*routing.Planner]
+	bodies        memo[*polygonsBody[C, T]]
 	routeQueries  atomic.Uint64
 	routeHits     atomic.Uint64
 	plannerBuilds atomic.Uint64
@@ -160,11 +155,6 @@ type Shard[C any, T kernel.Topology[C]] struct {
 
 	statsMu sync.Mutex
 	stats   counters
-}
-
-type plannerEntry struct {
-	version uint64
-	planner *routing.Planner
 }
 
 type counters struct {
@@ -355,36 +345,16 @@ func (s *Shard[C, T]) Planner() (*routing.Planner, View[C, T], bool, error) {
 	if s.newPlanner == nil {
 		return nil, View[C, T]{}, false, fmt.Errorf("%w: %v", ErrNoPlanner, s.mesh)
 	}
-	epoch := s.plannerEpoch.Load()
+	epoch := s.planners.epoch.Load()
 	v, err := s.Read()
 	if err != nil {
 		return nil, View[C, T]{}, false, err
 	}
-	if e := s.planner.Load(); e != nil && e.version == v.Version {
-		s.noteRoute(true, false)
-		return e.planner, v, true, nil
-	}
-	s.plannerMu.Lock()
-	defer s.plannerMu.Unlock()
-	if e := s.planner.Load(); e != nil && e.version == v.Version {
-		// Built by a concurrent query while we waited on the lock.
-		s.noteRoute(true, false)
-		return e.planner, v, true, nil
-	}
-	p := s.newPlanner(v.Snapshot)
-	// Two reasons not to cache what we just built: never replace a newer
-	// version's planner with an older one (a stale reader racing a fresh
-	// batch), and never re-cache across an eviction or failure latch that
-	// cleared the entry after our Read — the store would pin the memory
-	// the eviction was reclaiming. The query still gets its
-	// version-consistent planner either way, it just isn't cached.
-	if s.plannerEpoch.Load() == epoch {
-		if e := s.planner.Load(); e == nil || e.version <= v.Version {
-			s.planner.Store(&plannerEntry{version: v.Version, planner: p})
-		}
-	}
-	s.noteRoute(false, true)
-	return p, v, false, nil
+	p, hit := s.planners.get(epoch, v.Version, func(*routing.Planner) *routing.Planner {
+		return s.newPlanner(v.Snapshot)
+	})
+	s.noteRoute(hit, !hit)
+	return p, v, hit, nil
 }
 
 func (s *Shard[C, T]) noteRoute(hit, built bool) {
@@ -418,8 +388,14 @@ func (s *Shard[C, T]) latchFail(msg string) {
 	}
 	s.eng = nil
 	s.view.Store(nil)
-	s.plannerEpoch.Add(1)
-	s.planner.Store(nil)
+	s.dropMemos()
+}
+
+// dropMemos forgets the memoized planner and polygons body, so a shard
+// whose engine is gone does not pin the sets of its last snapshot.
+func (s *Shard[C, T]) dropMemos() {
+	s.planners.drop()
+	s.bodies.drop()
 }
 
 // Stats returns the shard's current stats.
@@ -743,8 +719,7 @@ func (s *Shard[C, T]) maybeEvict() {
 	}
 	s.eng = nil
 	s.view.Store(nil)
-	s.plannerEpoch.Add(1)
-	s.planner.Store(nil)
+	s.dropMemos()
 	s.statsMu.Lock()
 	s.stats.evictions++
 	s.statsMu.Unlock()
