@@ -275,6 +275,9 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	if err := walBenchRecords(rep, m, faults, iterations); err != nil {
 		return nil, err
 	}
+	if err := restartBenchRecords(rep, iterations); err != nil {
+		return nil, err
+	}
 
 	rep.ComputeSpeedups()
 
@@ -686,6 +689,39 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		Name:    fmt.Sprintf("wal/recover/mesh%d/batches%d/events%d/seed1", m.W, recoverBatches, recoverEvents),
 		Workers: 1, Iterations: iters, Seconds: secs,
 	})
+	return nil
+}
+
+// restartBenchRecords times a restart of each e2ebench churn layout on a
+// prepared data directory (experiments.Restart: snapshot decode, log tail
+// replay, the engine build and the first read, then the manager's close),
+// the in-process share of the benchmark's setup_s. It runs on the
+// manager's goroutines, so it is recorded at one worker.
+func restartBenchRecords(rep *benchfmt.Report, iterations int) error {
+	dir, err := os.MkdirTemp("", "mfpsim-bench-restart-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	for _, cfg := range experiments.RestartLayouts() {
+		data := filepath.Join(dir, cfg.Name)
+		if err := cfg.Prepare(data); err != nil {
+			return err
+		}
+		var runErr error
+		secs, iters := timeIt(iterations, func() {
+			mgr, err := experiments.Restart(data, cfg.Name)
+			if err != nil {
+				runErr = err
+				return
+			}
+			mgr.Close()
+		})
+		if runErr != nil {
+			return runErr
+		}
+		rep.Add(benchfmt.Record{Name: cfg.Label(), Workers: 1, Iterations: iters, Seconds: secs})
+	}
 	return nil
 }
 

@@ -60,6 +60,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	var sawEngine3Allocs, sawEngineBytes bool
 	sawPerEvent := map[int]bool{}
 	var sawRouteSweep, sawRoutePlanner, sawRouteServe bool
+	sawRestart := map[string]bool{}
 	for _, rec := range rep.Records {
 		if strings.HasPrefix(rec.Name, "figure9/random/") && rec.Workers == 1 {
 			sawSweepSerial = true
@@ -130,6 +131,9 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		if strings.HasPrefix(rec.Name, "route/serve/") {
 			sawRouteServe = true
 		}
+		if strings.HasPrefix(rec.Name, "restart/") {
+			sawRestart[rec.Name] = true
+		}
 		if rec.Seconds <= 0 {
 			t.Fatalf("record %q has non-positive time %v", rec.Name, rec.Seconds)
 		}
@@ -148,6 +152,11 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	}
 	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe {
 		t.Fatalf("report misses route workloads: %+v", rep.Records)
+	}
+	for _, cfg := range experiments.RestartLayouts() {
+		if !sawRestart[cfg.Label()] {
+			t.Fatalf("report misses the %s restart record: %+v", cfg.Name, rep.Records)
+		}
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")

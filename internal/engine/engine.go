@@ -107,10 +107,11 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 }
 
 // SnapshotOf builds the snapshot of a static fault set in one shot: a
-// fresh engine fed every fault as an arrival event. It is the bridge from
-// batch-style callers (simulators, benchmarks, tests) to snapshot
-// consumers like routing.NewPlanner; long-lived callers should hold an
-// Engine and Apply instead.
+// fresh engine fed every fault as one batch of arrivals, which the kernel
+// builds in one pass (one component search, one closure per component).
+// It is the bridge from batch-style callers (simulators, benchmarks,
+// tests) to snapshot consumers like routing.NewPlanner; long-lived callers
+// should hold an Engine and Apply instead.
 func SnapshotOf(m grid.Mesh, faults *nodeset.Set) (*Snapshot, error) {
 	e, err := New(m)
 	if err != nil {

@@ -103,6 +103,18 @@ func (s *scheme1) Grow(c grid.Coord, _ []*nodeset.Set, _ *nodeset.Set) {
 	s.propagate(s.mesh.Neighbors4(c, s.queue[:0]))
 }
 
+// Load builds the fixpoint of a whole fault set on a model that has seen
+// no faults: the faults turn unsafe, then propagation runs from all their
+// link neighbours at once. Chaotic iteration from below reaches the least
+// fixpoint above the faults whatever the order, which is also where one
+// Grow per fault ends.
+func (s *scheme1) Load(_ []*nodeset.Set) {
+	s.unsafe.CopyFrom(s.faults)
+	queue := s.queue[:0]
+	s.faults.Each(func(c grid.Coord) { queue = s.mesh.Neighbors4(c, queue) })
+	s.propagate(queue)
+}
+
 // Shrink removes a repaired fault from the scheme-1 fixpoint. The fault's
 // block is collected (4-connected unsafe region), reset to safe, and
 // regrown from the faults that remain in it; the result is the global

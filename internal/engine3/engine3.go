@@ -83,7 +83,8 @@ func DecodeEvents(r io.Reader) ([]Event, error) {
 }
 
 // SnapshotOf builds the snapshot of a static fault set in one shot: a
-// fresh engine fed every fault as an arrival event.
+// fresh engine fed every fault as one batch of arrivals, which the kernel
+// builds in one pass.
 func SnapshotOf(m grid3.Mesh, faults *nodeset3.Set) (*Snapshot, error) {
 	e, err := New(m)
 	if err != nil {
@@ -184,6 +185,19 @@ func (u *cuboids) Grow(c grid3.Coord, merged []*nodeset3.Set, result *nodeset3.S
 		return // the fault landed inside its component's cuboid
 	}
 	u.metrics.deltaRows.Add(uint64(mfp3d.RasterizeBox(u.unsafe, grown)))
+}
+
+// Load measures each component's cuboid once and rasterizes it once, on a
+// model that has seen no faults.
+func (u *cuboids) Load(comps []*nodeset3.Set) {
+	u.boxes = make(map[int]grid3.Box, len(comps))
+	rows := 0
+	for _, c := range comps {
+		b := u.bounds(c)
+		u.boxes[c.FirstIndex()] = b
+		rows += mfp3d.RasterizeBox(u.unsafe, b)
+	}
+	u.metrics.deltaRows.Add(uint64(rows))
 }
 
 // Shrink incorporates a repair: the dying component's cuboid is dropped,

@@ -58,6 +58,11 @@ func (c *Coord) SetWire(x, y, z int, hasZ bool) error {
 	return nil
 }
 
+// Wire returns the coordinate's wire fields, the encode-side mirror of
+// SetWire that the kernel's canonical appenders use in place of
+// MarshalJSON.
+func (c Coord) Wire() (x, y, z int, hasZ bool) { return c.X, c.Y, c.Z, true }
+
 // Add returns c translated by d.
 func (c Coord) Add(d Coord) Coord { return Coord{c.X + d.X, c.Y + d.Y, c.Z + d.Z} }
 

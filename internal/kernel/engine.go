@@ -86,6 +86,12 @@ type BlockModel[C any, T Topology[C]] interface {
 	// (c still included) and fragments are the components it split into —
 	// empty when c was the component's last fault.
 	Shrink(c C, removed *Set[C, T], fragments []*Set[C, T])
+	// Load initialises a model that has seen no faults from a whole fault
+	// set at once: comps are its components in seed order, and the fault
+	// set is already in place. It is the bulk counterpart of one Grow per
+	// fault and must leave the model in the state those Grows would; comps
+	// are read-only and valid only during the call, like Grow's sets.
+	Load(comps []*Set[C, T])
 	// Unsafe returns a fresh unsafe set for the current state. The result
 	// is owned by the caller (it is published in an immutable snapshot).
 	Unsafe() *Set[C, T]
@@ -254,22 +260,35 @@ func Replay[C any, T Topology[C]](faults *Set[C, T], events ...Event[C]) int {
 // batches land concurrently; Engine.Snapshot would race past them. An
 // event outside the mesh fails the whole batch before any of it is
 // applied.
+//
+// A batch of arrivals only, applied to an engine that holds no faults
+// (recovery, an eviction rebuild, SnapshotOf, a fresh mesh's first bulk
+// load), is built in one pass instead of event by event: one component
+// search over the whole fault set and one closure per component. The
+// snapshot is the one the per-event path would publish — a minimum
+// polygon depends on its component alone. Every other batch takes the
+// incremental path.
 func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, T], err error) {
 	if err := ValidateEvents(e.mesh, events); err != nil {
 		return 0, nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, ev := range events {
-		changed := false
-		if ev.Op == Add {
-			changed = e.addLocked(ev.Node)
-		} else {
-			changed = e.clearLocked(ev.Node)
-		}
-		if changed {
-			e.version++
-			applied++
+	if e.faults.Empty() && onlyAdds(events) {
+		applied = e.loadLocked(events)
+		e.version += uint64(applied)
+	} else {
+		for _, ev := range events {
+			changed := false
+			if ev.Op == Add {
+				changed = e.addLocked(ev.Node)
+			} else {
+				changed = e.clearLocked(ev.Node)
+			}
+			if changed {
+				e.version++
+				applied++
+			}
 		}
 	}
 	if applied > 0 {
@@ -277,6 +296,52 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 		e.publish()
 	}
 	return applied, e.snap.Load(), nil
+}
+
+// onlyAdds reports whether every event is an arrival.
+func onlyAdds[C any](events []Event[C]) bool {
+	for _, ev := range events {
+		if ev.Op != Add {
+			return false
+		}
+	}
+	return true
+}
+
+// loadLocked is the bulk build of an engine holding no faults: it adds
+// every arrival to the fault set, floods the components once, closes each
+// once and hands the component list to the block model. The flood yields
+// components in seed order, so entries are appended, and each component
+// gets one owner. It returns how many arrivals changed the fault set
+// (a duplicate within the batch counts once).
+func (e *Engine[C, T]) loadLocked(events []Event[C]) int {
+	applied := 0
+	for _, ev := range events {
+		if e.faults.Add(ev.Node) {
+			applied++
+		}
+	}
+	if applied == 0 {
+		return 0
+	}
+	comps := e.scr.Regions(e.faults)
+	e.blocks.Load(comps)
+	e.owners = make(map[int]*owner[C, T], applied)
+	e.entries = slices.Grow(e.entries[:0], len(comps))
+	passes := 0
+	for _, nodes := range comps {
+		poly, p := e.scr.Closure(nodes)
+		passes += p
+		e.relabelTo = e.newOwner()
+		e.relabelTo.en = e.newEntry(nodes, poly)
+		e.entries = append(e.entries, e.relabelTo.en)
+		nodes.EachIndex(e.relabel)
+	}
+	e.scr.dropFlood()
+	e.metrics.componentsTouched.Add(uint64(len(comps)))
+	e.metrics.closures.Add(uint64(len(comps)))
+	e.metrics.closurePasses.Add(uint64(passes))
+	return applied
 }
 
 // addLocked is the arrival path: merge the new fault with every component

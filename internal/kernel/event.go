@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // The wire format of an event is {"op":"add"|"clear", ...coordinate...},
@@ -208,6 +209,42 @@ func ParseCanonicalEventArray[C any](data []byte, pos int) (events []Event[C], e
 	}
 }
 
+// ParseCanonicalCoordArray scans one canonical coordinate array — what
+// json.Marshal writes for a []C: `null`, `[]` or `[{"x":1,"y":2},...]`
+// with no whitespace — starting at pos, returning the coordinates and the
+// offset just past the array. Like ParseCanonicalEventArray, ok=false
+// means "not canonical", never "bad input": the caller falls back to
+// encoding/json for the result and the error. The WAL's snapshot reader
+// embeds it in its own canonical framing.
+func ParseCanonicalCoordArray[C any](data []byte, pos int) (coords []C, end int, ok bool) {
+	if _, hasFast := any((*C)(nil)).(wireSetter); !hasFast {
+		return nil, 0, false
+	}
+	s := &canonScanner{data: data, pos: pos}
+	if s.lit(`null`) {
+		return nil, s.pos, true
+	}
+	if !s.lit(`[`) {
+		return nil, 0, false
+	}
+	if s.lit(`]`) {
+		return []C{}, s.pos, true
+	}
+	for {
+		var zero C
+		coords = append(coords, zero)
+		if !s.lit(`{"x":`) || !canonCoord(s, &coords[len(coords)-1]) {
+			return nil, 0, false
+		}
+		if s.lit(`]`) {
+			return coords, s.pos, true
+		}
+		if !s.lit(`,`) {
+			return nil, 0, false
+		}
+	}
+}
+
 // canonEvent scans one canonical event object into e. The op prefix pins
 // the key order, so a single lit call per op recognises everything up to
 // the first coordinate value.
@@ -221,6 +258,14 @@ func canonEvent[C any](s *canonScanner, e *Event[C]) bool {
 	default:
 		return false
 	}
+	e.Op = op
+	return canonCoord(s, &e.Node)
+}
+
+// canonCoord scans the rest of a canonical coordinate object after its
+// `"x":` key — `X,"y":Y}` or `X,"y":Y,"z":Z}` — into c through the
+// coordinate's SetWire hook, whose presence the array parsers checked.
+func canonCoord[C any](s *canonScanner, c *C) bool {
 	x, ok := s.integer()
 	if !ok || !s.lit(`,"y":`) {
 		return false
@@ -239,7 +284,79 @@ func canonEvent[C any](s *canonScanner, e *Event[C]) bool {
 	if !s.lit(`}`) {
 		return false
 	}
-	e.Op = op
-	ws := any(&e.Node).(wireSetter) // presence checked by the array parser
-	return ws.SetWire(x, y, z, hasZ) == nil
+	return any(c).(wireSetter).SetWire(x, y, z, hasZ) == nil
+}
+
+// wireGetter is the encode-side mirror of wireSetter: the coordinate's
+// wire fields, hasZ reporting whether it encodes a z. Coordinate types
+// that do not implement it are encoded by encoding/json instead.
+type wireGetter interface {
+	Wire() (x, y, z int, hasZ bool)
+}
+
+// AppendCanonicalEventArray appends events to dst as exactly the bytes
+// json.Marshal writes for the slice (`null` for a nil slice), without
+// reflection. ok=false — dst returned unchanged — when C has no Wire
+// method or an event carries an invalid op; the caller then encodes
+// through encoding/json, which also reports the error.
+func AppendCanonicalEventArray[C any](dst []byte, events []Event[C]) ([]byte, bool) {
+	if _, hasFast := any((*C)(nil)).(wireGetter); !hasFast {
+		return dst, false
+	}
+	if events == nil {
+		return append(dst, `null`...), true
+	}
+	start := len(dst)
+	dst = append(dst, '[')
+	for i := range events {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch events[i].Op {
+		case Add:
+			dst = append(dst, `{"op":"add","x":`...)
+		case Clear:
+			dst = append(dst, `{"op":"clear","x":`...)
+		default:
+			return dst[:start], false
+		}
+		dst = appendWire(dst, &events[i].Node)
+	}
+	return append(dst, ']'), true
+}
+
+// AppendCanonicalCoordArray appends coords to dst as exactly the bytes
+// json.Marshal writes for the slice (`null` for a nil slice), without
+// reflection. ok=false — dst returned unchanged — when C has no Wire
+// method.
+func AppendCanonicalCoordArray[C any](dst []byte, coords []C) ([]byte, bool) {
+	if _, hasFast := any((*C)(nil)).(wireGetter); !hasFast {
+		return dst, false
+	}
+	if coords == nil {
+		return append(dst, `null`...), true
+	}
+	dst = append(dst, '[')
+	for i := range coords {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"x":`...)
+		dst = appendWire(dst, &coords[i])
+	}
+	return append(dst, ']'), true
+}
+
+// appendWire appends the rest of a coordinate object after its `"x":`
+// key, the inverse of canonCoord.
+func appendWire[C any](dst []byte, c *C) []byte {
+	x, y, z, hasZ := any(c).(wireGetter).Wire()
+	dst = strconv.AppendInt(dst, int64(x), 10)
+	dst = append(dst, `,"y":`...)
+	dst = strconv.AppendInt(dst, int64(y), 10)
+	if hasZ {
+		dst = append(dst, `,"z":`...)
+		dst = strconv.AppendInt(dst, int64(z), 10)
+	}
+	return append(dst, '}')
 }

@@ -189,6 +189,7 @@ func (boxModel) Grow(grid3.Coord, []*kernel.Set[grid3.Coord, grid3.Mesh], *kerne
 }
 func (boxModel) Shrink(grid3.Coord, *kernel.Set[grid3.Coord, grid3.Mesh], []*kernel.Set[grid3.Coord, grid3.Mesh]) {
 }
+func (boxModel) Load([]*kernel.Set[grid3.Coord, grid3.Mesh]) {}
 
 // Unsafe covers every polytope with the closure of the whole fault set
 // (the union of the components), so Validate's MFP ⊆ FB check holds in

@@ -93,6 +93,12 @@ func (scr *Scratch[C, T]) Regions(s *Set[C, T]) []*Set[C, T] {
 	return regionsWith(s, scr, true)
 }
 
+// dropFlood releases the flood's seen bitmap and region list. A search
+// over a whole fault set sizes both to that set's window and leaves the
+// list pointing at every component; per-event searches need neither, and
+// the next one reallocates what it uses.
+func (scr *Scratch[C, T]) dropFlood() { scr.seenWords, scr.regions = nil, nil }
+
 // LinkRegions is the scratch-reusing form of the package-level
 // LinkRegions. The returned slice is valid until the next call on scr.
 func (scr *Scratch[C, T]) LinkRegions(s *Set[C, T]) []*Set[C, T] {

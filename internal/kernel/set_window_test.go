@@ -394,6 +394,7 @@ type stubModel struct{ faults *Set[grid.Coord, grid.Mesh] }
 func (stubModel) Grow(grid.Coord, []*Set[grid.Coord, grid.Mesh], *Set[grid.Coord, grid.Mesh]) {}
 func (stubModel) Shrink(grid.Coord, *Set[grid.Coord, grid.Mesh], []*Set[grid.Coord, grid.Mesh]) {
 }
+func (stubModel) Load([]*Set[grid.Coord, grid.Mesh])    {}
 func (b stubModel) Unsafe() *Set[grid.Coord, grid.Mesh] { return b.faults.Clone() }
 
 // A singleton component on a 2048² mesh is published with a one-word

@@ -18,6 +18,7 @@ var shardMetrics = struct {
 	evictions      *obs.Counter
 	rebuilds       *obs.Counter
 	rebuildSeconds *obs.Histogram
+	recoverSeconds *obs.Histogram
 	failures       *obs.Counter
 	routeQueries   *obs.Counter
 	plannerHits    *obs.Counter
@@ -47,6 +48,8 @@ var shardMetrics = struct {
 		"Engine rebuilds from the persisted fault set after eviction."),
 	rebuildSeconds: obs.Default.Histogram("shard_rebuild_seconds",
 		"Engine rebuild latency in seconds (replay of the persisted fault set).", obs.LatencyBuckets),
+	recoverSeconds: obs.Default.Histogram("shard_recover_seconds",
+		"Per-mesh startup recovery latency in seconds (replay of the recovered snapshot and log tail, plus the engine build).", obs.LatencyBuckets),
 	failures: obs.Default.Counter("shard_failures_total",
 		"Shard failure latches (engine divergence or rebuild error); each permanently fails one shard."),
 	routeQueries: obs.Default.Counter("shard_route_queries_total",

@@ -217,12 +217,12 @@ func (s *Shard[C, T]) attachWAL(recovered bool) error {
 
 // restore replays a recovered WAL into the shard before it serves: the
 // snapshot's fault set, then every surviving log batch, walked through
-// kernel.Replay — the same differentially-tested path eviction-rebuild
-// uses — with the replayed version checked against each record's recorded
-// one, so a divergence fails recovery instead of silently serving wrong
-// state. The engine then applies the final fault set exactly like rebuild
-// does after an eviction.
+// kernel.Replay with the replayed version checked against each record's
+// recorded one, so a divergence fails recovery instead of silently
+// serving wrong state. The engine is then built from the final fault set
+// by loadEngine, exactly as rebuild does after an eviction.
 func (s *Shard[C, T]) restore(rec *wal.Recovery[C]) error {
+	start := time.Now()
 	version := rec.Version
 	base := make([]kernel.Event[C], 0, len(rec.Faults))
 	for _, c := range rec.Faults {
@@ -243,16 +243,13 @@ func (s *Shard[C, T]) restore(rec *wal.Recovery[C]) error {
 			return fmt.Errorf("wal replay diverged: version %d at record %d", version, b.Version)
 		}
 	}
-	if !s.faults.Empty() {
-		events := make([]kernel.Event[C], 0, s.faults.Len())
-		s.faults.Each(func(c C) {
-			events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
-		})
-		if _, _, err := s.eng.Apply(events); err != nil {
-			return fmt.Errorf("recovery replay: %v", err)
-		}
+	eng, err := s.loadEngine()
+	if err != nil {
+		return fmt.Errorf("recovery: %v", err)
 	}
-	snap := s.eng.Snapshot()
+	s.eng = eng
+	shardMetrics.recoverSeconds.ObserveDuration(time.Since(start))
+	snap := eng.Snapshot()
 	s.stats.version = version
 	s.stats.faults = s.faults.Len()
 	s.stats.components = len(snap.Polygons())
@@ -663,18 +660,9 @@ func (s *Shard[C, T]) rebuild() error {
 		return s.rebuildFail
 	}
 	start := time.Now()
-	eng, err := s.newEngine(s.mesh)
+	eng, err := s.loadEngine()
 	if err != nil {
-		return fmt.Errorf("rebuild on mesh validated at create: %v", err)
-	}
-	if !s.faults.Empty() {
-		events := make([]kernel.Event[C], 0, s.faults.Len())
-		s.faults.Each(func(c C) {
-			events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
-		})
-		if _, _, err := eng.Apply(events); err != nil {
-			return fmt.Errorf("rebuild replay: %v", err)
-		}
+		return fmt.Errorf("rebuild: %v", err)
 	}
 	s.eng = eng
 	shardMetrics.rebuilds.Inc()
@@ -686,6 +674,28 @@ func (s *Shard[C, T]) rebuild() error {
 	s.view.Store(&View[C, T]{Snapshot: eng.Snapshot(), Version: version})
 	nudge(s.mgr.noteResident(s))
 	return nil
+}
+
+// loadEngine builds a fresh engine over the persisted fault set, fed as
+// one batch of arrivals: on an empty engine the kernel builds that in one
+// pass, one component search and one closure per component. Recovery and
+// eviction rebuild share it.
+func (s *Shard[C, T]) loadEngine() (*kernel.Engine[C, T], error) {
+	eng, err := s.newEngine(s.mesh)
+	if err != nil {
+		return nil, fmt.Errorf("engine on mesh validated at create: %v", err)
+	}
+	if s.faults.Empty() {
+		return eng, nil
+	}
+	events := make([]kernel.Event[C], 0, s.faults.Len())
+	s.faults.Each(func(c C) {
+		events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
+	})
+	if _, _, err := eng.Apply(events); err != nil {
+		return nil, fmt.Errorf("replay of the persisted fault set: %v", err)
+	}
+	return eng, nil
 }
 
 // maybeCompact runs the compaction policy at the batch boundary, where

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/grid3"
 	"repro/internal/kernel"
 )
 
@@ -14,6 +15,9 @@ import (
 // CRC-valid payload must either decode or fail cleanly. The scan must also
 // be idempotent — truncating to the reported good offset and rescanning
 // yields the same records, which is exactly what Open does to a torn tail.
+// Every CRC-valid payload is also decoded as a batch and as a 2-D and 3-D
+// snapshot, and each canonical fast path must agree with encoding/json on
+// the value and the error.
 func FuzzWALDecode(f *testing.F) {
 	// Seeded corpus: whole logs, torn tails at awkward offsets, corrupt
 	// lengths and checksums, and raw junk.
@@ -33,6 +37,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(badCRC)
 	f.Add(hugeLen)
 	f.Add(snap)
+	f.Add(frameRecord([]byte(`{"version":4,"faults":[{"x":1,"y":1,"z":2},{"x":3,"y":0,"z":1}]}`)))
+	f.Add(frameRecord([]byte(`{"version":4,"faults":null}`)))
+	f.Add(frameRecord([]byte(`{"version":4,"faults":[{"x":1,"y":1}]} `)))
 	f.Add(frameRecord([]byte(`not json`)))
 	f.Add(frameRecord([]byte(`{"version":9,"events":[{"op":"boom","x":1,"y":2}]}`)))
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08"))
@@ -64,6 +71,9 @@ func FuzzWALDecode(f *testing.F) {
 					}
 				}
 			}
+			checkBatchAgrees(t, p)
+			checkSnapshotAgrees[grid.Coord](t, p)
+			checkSnapshotAgrees[grid3.Coord](t, p)
 		}
 		if total != good {
 			t.Fatalf("records cover %d bytes, good offset %d", total, good)

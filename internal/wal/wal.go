@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/kernel"
@@ -251,11 +252,12 @@ func Open[C any](dir string) (*Log[C], *Recovery[C], error) {
 // not be sent before Append returns, so every acknowledged event is on
 // disk. version is the shard version after the batch.
 func (l *Log[C]) Append(version uint64, events []kernel.Event[C]) error {
-	payload, err := json.Marshal(batchPayload[C]{Version: version, Events: events})
+	frame, err := encodeRecord(version, "events", len(events)*40,
+		func(dst []byte) ([]byte, bool) { return kernel.AppendCanonicalEventArray(dst, events) },
+		batchPayload[C]{Version: version, Events: events})
 	if err != nil {
 		return fmt.Errorf("wal: encode batch: %w", err)
 	}
-	frame := frameRecord(payload)
 	if _, err := l.f.Write(frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -276,11 +278,12 @@ func (l *Log[C]) Append(version uint64, events []kernel.Event[C]) error {
 // exactly the pre- or post-compaction state.
 func (l *Log[C]) Compact(version uint64, faults []C) error {
 	start := time.Now()
-	payload, err := json.Marshal(snapshotPayload[C]{Version: version, Faults: faults})
+	frame, err := encodeRecord(version, "faults", len(faults)*32,
+		func(dst []byte) ([]byte, bool) { return kernel.AppendCanonicalCoordArray(dst, faults) },
+		snapshotPayload[C]{Version: version, Faults: faults})
 	if err != nil {
 		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}
-	frame := frameRecord(payload)
 	tmp := filepath.Join(l.dir, snapshotFile+".tmp")
 	sf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -345,11 +348,41 @@ type snapshotPayload[C any] struct {
 // frameRecord wraps a payload in the record framing: uint32 LE length,
 // uint32 LE CRC32 (IEEE) of the payload, payload.
 func frameRecord(payload []byte) []byte {
-	frame := make([]byte, headerSize+len(payload))
+	frame := make([]byte, headerSize, headerSize+len(payload))
+	return sealRecord(append(frame, payload...))
+}
+
+// sealRecord fills in the header of a frame whose payload follows its
+// headerSize reserved bytes.
+func sealRecord(frame []byte) []byte {
+	payload := frame[headerSize:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
 	return frame
+}
+
+// encodeRecord frames the payload {"version":N,"<key>":<array>} that
+// json.Marshal writes for slow (a batchPayload or snapshotPayload), with
+// the array appended by body, one of the kernel's reflection-free
+// canonical appenders; sizeHint estimates the array's length. When body
+// declines (a coordinate type without a Wire method, an invalid op), the
+// payload is json.Marshal(slow) itself, which also reports the error.
+func encodeRecord(version uint64, key string, sizeHint int, body func([]byte) ([]byte, bool), slow any) ([]byte, error) {
+	frame := make([]byte, headerSize, headerSize+len(`{"version":,"":}`)+20+len(key)+sizeHint)
+	frame = append(frame, `{"version":`...)
+	frame = strconv.AppendUint(frame, version, 10)
+	frame = append(frame, `,"`...)
+	frame = append(frame, key...)
+	frame = append(frame, `":`...)
+	frame, ok := body(frame)
+	if !ok {
+		payload, err := json.Marshal(slow)
+		if err != nil {
+			return nil, err
+		}
+		return frameRecord(payload), nil
+	}
+	return sealRecord(append(frame, '}')), nil
 }
 
 // scanFrames walks data record by record and returns every whole, CRC-valid
@@ -404,35 +437,75 @@ func decodeBatch[C any](payload []byte) (Batch[C], error) {
 // (reordered keys, whitespace, a hand-edited log …), never "corrupt" —
 // the caller re-decodes through encoding/json for the verdict.
 func parseCanonicalBatch[C any](payload []byte) (Batch[C], bool) {
-	const prefix = `{"version":`
-	if len(payload) < len(prefix) || string(payload[:len(prefix)]) != prefix {
+	version, pos, ok := canonicalHead(payload, `,"events":`)
+	if !ok {
 		return Batch[C]{}, false
 	}
-	pos := len(prefix)
+	events, end, ok := kernel.ParseCanonicalEventArray[C](payload, pos)
+	if !ok || end != len(payload)-1 || payload[end] != '}' {
+		return Batch[C]{}, false
+	}
+	return Batch[C]{Version: version, Events: events}, true
+}
+
+// canonicalHead scans the `{"version":N` opening every canonical record
+// and the separator that follows it, returning the version and the offset
+// of the array after the separator. ok=false means "not canonical".
+func canonicalHead(payload []byte, sep string) (version uint64, pos int, ok bool) {
+	const prefix = `{"version":`
+	if len(payload) < len(prefix) || string(payload[:len(prefix)]) != prefix {
+		return 0, 0, false
+	}
+	pos = len(prefix)
 	// Canonical uint64: digits only, no leading zero (except "0" itself),
 	// overflow-checked so a 20-digit value falls back rather than wraps.
 	start := pos
-	var version uint64
 	for pos < len(payload) && payload[pos] >= '0' && payload[pos] <= '9' {
 		d := uint64(payload[pos] - '0')
 		if version > (^uint64(0)-d)/10 {
-			return Batch[C]{}, false
+			return 0, 0, false
 		}
 		version = version*10 + d
 		pos++
 	}
 	if pos == start || (payload[start] == '0' && pos-start > 1) {
-		return Batch[C]{}, false
+		return 0, 0, false
 	}
-	const sep = `,"events":`
 	if len(payload)-pos < len(sep) || string(payload[pos:pos+len(sep)]) != sep {
-		return Batch[C]{}, false
+		return 0, 0, false
 	}
-	events, end, ok := kernel.ParseCanonicalEventArray[C](payload, pos+len(sep))
+	return version, pos + len(sep), true
+}
+
+// decodeSnapshot decodes the CRC-valid compaction snapshot payload under
+// decodeBatch's contract: the canonical form Compact writes is scanned by
+// hand, anything else goes through encoding/json, so the accepted
+// language and the errors are encoding/json's, and an undecodable payload
+// is ErrCorrupt.
+func decodeSnapshot[C any](payload []byte) (snapshotPayload[C], error) {
+	if p, ok := parseCanonicalSnapshot[C](payload); ok {
+		return p, nil
+	}
+	var p snapshotPayload[C]
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return snapshotPayload[C]{}, fmt.Errorf("%w: bad snapshot record: %v", ErrCorrupt, err)
+	}
+	return p, nil
+}
+
+// parseCanonicalSnapshot scans `{"version":N,"faults":[...]}` with no
+// whitespace and a canonical coordinate array. ok=false means "not
+// canonical", never "corrupt".
+func parseCanonicalSnapshot[C any](payload []byte) (snapshotPayload[C], bool) {
+	version, pos, ok := canonicalHead(payload, `,"faults":`)
+	if !ok {
+		return snapshotPayload[C]{}, false
+	}
+	faults, end, ok := kernel.ParseCanonicalCoordArray[C](payload, pos)
 	if !ok || end != len(payload)-1 || payload[end] != '}' {
-		return Batch[C]{}, false
+		return snapshotPayload[C]{}, false
 	}
-	return Batch[C]{Version: version, Events: events}, true
+	return snapshotPayload[C]{Version: version, Faults: faults}, true
 }
 
 // readSnapshot loads the compaction snapshot into rec; a missing snapshot
@@ -451,12 +524,11 @@ func readSnapshot[C any](dir string, rec *Recovery[C]) error {
 	if len(payloads) != 1 || good != int64(len(data)) {
 		return fmt.Errorf("%w: snapshot is not one whole record", ErrCorrupt)
 	}
-	var p snapshotPayload[C]
-	if err := json.Unmarshal(payloads[0], &p); err != nil {
-		return fmt.Errorf("%w: bad snapshot record: %v", ErrCorrupt, err)
+	p, err := decodeSnapshot[C](payloads[0])
+	if err != nil {
+		return err
 	}
-	rec.Version = p.Version
-	rec.Faults = p.Faults
+	rec.Version, rec.Faults = p.Version, p.Faults
 	return nil
 }
 
