@@ -305,3 +305,68 @@ func TestRecoverEmptyDataDir(t *testing.T) {
 		t.Fatalf("in-memory Recover = %v, %v", names, err)
 	}
 }
+
+// TestRecreateAfterInterruptedDelete: a Delete cut off after removing
+// meta.json leaves the old log and snapshot on disk. Recovery must not
+// list the half-deleted mesh, a Create of the same name must start from
+// an empty history, and an event acknowledged by the new mesh must
+// survive a restart without the deleted mesh's faults coming back.
+func TestRecreateAfterInterruptedDelete(t *testing.T) {
+	dir := t.TempDir()
+	mesh := grid.New(8, 8)
+
+	mgr := durableManager(dir, 64)
+	sh, err := mgr.Create("m", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < 6; x++ {
+		if _, err := sh.Apply([]engine.Event{add(x, 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.Close()
+	// The state an os.RemoveAll cut off after its first unlink leaves.
+	if err := os.Remove(filepath.Join(dir, "m", "meta.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr2 := durableManager(dir, 64)
+	names, err := mgr2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 0 {
+		t.Fatalf("recovered %v from a half-deleted directory", names)
+	}
+	sh2, err := mgr2.Create("m", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sh2.Apply([]engine.Event{add(7, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.View.Version != 1 {
+		t.Fatalf("re-created mesh acknowledged at version %d, want 1", res.View.Version)
+	}
+	mgr2.Close()
+
+	mgr3 := durableManager(dir, 64)
+	defer mgr3.Close()
+	if _, err := mgr3.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sh3, err := Get[grid.Coord, grid.Mesh](mgr3, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := sh3.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Version != 1 {
+		t.Fatalf("after restart: version %d, want 1", v.Version)
+	}
+	checkAgainstCore(t, v, mesh, nodeset.FromCoords(mesh, grid.XY(7, 0)))
+}

@@ -35,7 +35,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -203,6 +202,9 @@ func (m *Manager) Recover() ([]string, error) {
 	if m.cfg.DataDir == "" {
 		return nil, nil
 	}
+	if err := wal.Sweep(m.cfg.DataDir); err != nil {
+		return nil, err
+	}
 	names, err := wal.Meshes(m.cfg.DataDir)
 	if err != nil {
 		return nil, err
@@ -283,7 +285,7 @@ func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 		m.mu.Unlock()
 		s.closeWAL()
 		if !recovered && m.cfg.DataDir != "" {
-			os.RemoveAll(m.walDir(name))
+			wal.Remove(m.walDir(name))
 		}
 		return nil, ErrClosed
 	}
@@ -333,13 +335,18 @@ func Get[C any, T kernel.Topology[C]](m *Manager, name string) (*Shard[C, T], er
 // fail with ErrClosed (or ErrUnknownMesh once a lookup no longer finds the
 // name) while requests already accepted drain first; Delete returns after
 // the shard's goroutine has exited. With durability enabled the mesh's
-// write-ahead log directory is removed too — deletion is the one
-// administrative action that forgets history on purpose.
+// write-ahead log directory is removed too (wal.Remove: tombstone rename,
+// fsync, then removal, so a crash never leaves half a history) — deletion
+// is the one administrative action that forgets history on purpose.
 func (m *Manager) Delete(name string) error {
 	m.mu.Lock()
 	s, ok := m.shards[name]
 	if ok {
 		delete(m.shards, name)
+		// The name stays reserved until the directory is gone, so a
+		// concurrent Create cannot build its WAL inside the one being
+		// removed.
+		m.pending[name] = struct{}{}
 		shardMetrics.meshes.Dec()
 		if _, wasResident := m.resident[s]; wasResident {
 			delete(m.resident, s)
@@ -355,12 +362,16 @@ func (m *Manager) Delete(name string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownMesh, name)
 	}
 	s.close()
+	var err error
 	if m.cfg.DataDir != "" {
-		if err := os.RemoveAll(m.walDir(name)); err != nil {
-			return fmt.Errorf("shard: delete %q: remove wal: %w", name, err)
+		if rerr := wal.Remove(m.walDir(name)); rerr != nil {
+			err = fmt.Errorf("shard: delete %q: remove wal: %w", name, rerr)
 		}
 	}
-	return nil
+	m.mu.Lock()
+	delete(m.pending, name)
+	m.mu.Unlock()
+	return err
 }
 
 // Len returns the number of meshes.

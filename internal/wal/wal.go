@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/kernel"
@@ -109,10 +110,27 @@ type Log[C any] struct {
 
 // Create initialises a fresh WAL directory for a mesh and returns the open
 // log. It fails if the directory already holds a WAL (meta.json exists) —
-// recovering an existing directory is Open's job.
+// recovering an existing directory is Open's job. WAL files left without
+// a meta.json (a delete cut off by a crash before tombstones existed) are
+// no mesh's history: they are removed, so the new mesh starts empty
+// instead of appending to, or recovering from, a deleted one. The parent
+// is fsynced after the directory is made, and the directory after each
+// file it gains, so an acknowledged append never rests on a directory
+// entry that a crash can take back.
 func Create[C any](dir string, meta Meta) (*Log[C], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", dir, err)
+	}
+	if _, err := os.Lstat(filepath.Join(dir, metaFile)); err == nil {
+		return nil, fmt.Errorf("wal: create %s: already holds a WAL", dir)
+	}
+	for _, name := range []string{logFile, snapshotFile, snapshotFile + ".tmp"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("wal: clean stale %s: %w", name, err)
+		}
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return nil, err
 	}
 	data, err := json.Marshal(meta)
 	if err != nil {
@@ -137,11 +155,65 @@ func Create[C any](dir string, meta Meta) (*Log[C], error) {
 	if err := syncDir(dir); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logFile), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logFile), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create log: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &Log[C]{dir: dir, f: f}, nil
+}
+
+// tombstonePrefix marks a mesh directory that Remove is deleting. Mesh
+// names start with an alphanumeric, so no mesh directory carries it.
+const tombstonePrefix = ".deleted-"
+
+// Remove deletes a mesh's WAL directory so that a crash at any point
+// leaves either the whole mesh or none of it: the directory is renamed to
+// a tombstone, the rename is fsynced, and only then is the tombstone
+// removed. A tombstone a crash leaves behind is never listed by Meshes
+// and is removed by Sweep. A missing directory is not an error.
+func Remove(dir string) error {
+	parent := filepath.Dir(dir)
+	tomb := filepath.Join(parent, tombstonePrefix+filepath.Base(dir))
+	if err := os.RemoveAll(tomb); err != nil {
+		return fmt.Errorf("wal: remove stale tombstone: %w", err)
+	}
+	if err := os.Rename(dir, tomb); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("wal: tombstone %s: %w", dir, err)
+	}
+	if err := syncDir(parent); err != nil {
+		return err
+	}
+	if err := os.RemoveAll(tomb); err != nil {
+		return fmt.Errorf("wal: remove tombstone: %w", err)
+	}
+	return nil
+}
+
+// Sweep removes the tombstones interrupted Removes left under dataDir. A
+// missing dataDir holds none.
+func Sweep(dataDir string) error {
+	entries, err := os.ReadDir(dataDir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: scan %s: %w", dataDir, err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tombstonePrefix) {
+			if err := os.RemoveAll(filepath.Join(dataDir, e.Name())); err != nil {
+				return fmt.Errorf("wal: sweep tombstone: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // LogPath returns the path of the append-only log file inside a mesh's
@@ -177,7 +249,7 @@ func Meshes(dataDir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() {
+		if !e.IsDir() || strings.HasPrefix(e.Name(), tombstonePrefix) {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(dataDir, e.Name(), metaFile)); err == nil {

@@ -388,3 +388,60 @@ func TestScanFramesRejectsHugeLength(t *testing.T) {
 		t.Fatalf("scanFrames = %d payloads, good %d", len(payloads), good)
 	}
 }
+
+// TestRemoveTombstone: Remove leaves nothing behind, a tombstone an
+// interrupted Remove left is neither listed nor kept past Sweep, and
+// Create over stale WAL files without a meta.json starts an empty log.
+func TestRemoveTombstone(t *testing.T) {
+	data := t.TempDir()
+	dir := filepath.Join(data, "m")
+	l := mustCreate(t, dir)
+	if err := l.Append(1, []kernel.Event[grid.Coord]{add(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(data); len(entries) != 0 {
+		t.Fatalf("Remove left %d entries", len(entries))
+	}
+	if err := Remove(dir); err != nil {
+		t.Fatalf("removing a missing mesh: %v", err)
+	}
+
+	// A crash between Remove's rename and its removal.
+	mustCreate(t, filepath.Join(data, tombstonePrefix+"x")).Close()
+	if names, err := Meshes(data); err != nil || len(names) != 0 {
+		t.Fatalf("Meshes listed %v (%v), want none", names, err)
+	}
+	if err := Sweep(data); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(data); len(entries) != 0 {
+		t.Fatalf("Sweep left %d entries", len(entries))
+	}
+
+	// Stale log and snapshot without a meta.json: Create starts over.
+	l = mustCreate(t, dir)
+	if err := l.Append(1, []kernel.Event[grid.Coord]{add(2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(1, []grid.Coord{grid.XY(2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(2, []kernel.Event[grid.Coord]{add(3, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := os.Remove(filepath.Join(dir, metaFile)); err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, dir).Close()
+	l, rec := mustOpen(t, dir)
+	defer l.Close()
+	if rec.Version != 0 || len(rec.Faults) != 0 || len(rec.Batches) != 0 {
+		t.Fatalf("re-created WAL recovered version %d, %d faults, %d batches; want an empty history",
+			rec.Version, len(rec.Faults), len(rec.Batches))
+	}
+}
