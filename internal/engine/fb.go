@@ -52,10 +52,9 @@ type scheme1 struct {
 	queue    []grid.Coord
 }
 
-// newScheme1 ignores the engine scratch: the fixpoint's working sets live
-// across events (they are fields, which the scratch pool's transient-use
-// contract forbids), so the model owns them outright.
-func newScheme1(m grid.Mesh, faults *nodeset.Set, _ *kernel.Scratch[grid.Coord, grid.Mesh]) kernel.BlockModel[grid.Coord, grid.Mesh] {
+// newScheme1 ignores the engine's box index: the fixpoint is defined on
+// the fault set alone, and its working sets are fields the model owns.
+func newScheme1(m grid.Mesh, faults *nodeset.Set, _ *kernel.BoxIndex) kernel.BlockModel[grid.Coord, grid.Mesh] {
 	return &scheme1{mesh: m, faults: faults, unsafe: nodeset.New(m), seen: nodeset.New(m)}
 }
 
@@ -92,11 +91,11 @@ func (s *scheme1) propagate(queue []grid.Coord) {
 }
 
 // Grow incorporates a new fault into the scheme-1 fixpoint. The touched
-// components are not needed — the fixpoint is defined on the fault set
+// components' boxes are not needed — the fixpoint is defined on the fault set
 // alone. When the fault lands on an already-unsafe node (inside an
 // existing block) nothing else can change; otherwise the change propagates
 // outward from the fault.
-func (s *scheme1) Grow(c grid.Coord, _ []*nodeset.Set, _ *nodeset.Set) {
+func (s *scheme1) Grow(c grid.Coord, _ []kernel.Box, _ kernel.Box) {
 	if !s.unsafe.Add(c) {
 		return
 	}
@@ -108,7 +107,7 @@ func (s *scheme1) Grow(c grid.Coord, _ []*nodeset.Set, _ *nodeset.Set) {
 // link neighbours at once. Chaotic iteration from below reaches the least
 // fixpoint above the faults whatever the order, which is also where one
 // Grow per fault ends.
-func (s *scheme1) Load(_ []*nodeset.Set) {
+func (s *scheme1) Load([]kernel.Box) {
 	s.unsafe.CopyFrom(s.faults)
 	queue := s.queue[:0]
 	s.faults.Each(func(c grid.Coord) { queue = s.mesh.Neighbors4(c, queue) })
@@ -120,7 +119,7 @@ func (s *scheme1) Load(_ []*nodeset.Set) {
 // regrown from the faults that remain in it; the result is the global
 // fixpoint for the reduced fault set because no other block borders the
 // region (see the package comment above).
-func (s *scheme1) Shrink(c grid.Coord, _ *nodeset.Set, _ []*nodeset.Set) {
+func (s *scheme1) Shrink(c grid.Coord, _ kernel.Box, _ []kernel.Box) {
 	// Collect the block containing c. c itself is still unsafe: it was a
 	// fault a moment ago and faults are always unsafe.
 	region := append(s.region[:0], c)

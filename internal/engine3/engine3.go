@@ -103,12 +103,11 @@ func SnapshotOf(m grid3.Mesh, faults *nodeset3.Set) (*Snapshot, error) {
 
 // cuboids is the kernel.BlockModel of the 3-D engine: the union of
 // component bounding cuboids (mfp3d's DisabledCuboid), maintained
-// incrementally. The model tracks one grid3.Box per live component, keyed
-// by the component's seed (Set.FirstIndex — stable and unique across the
-// disjoint component sets), and keeps the union rasterized in a persistent
-// bitset that every event patches with word-parallel row fills
-// (mfp3d.RasterizeBox / ClearBox) instead of re-rasterizing every
-// component at snapshot publication:
+// incrementally. The cuboids themselves live in the engine's box index —
+// one box per live component, under its cache entry's slot — so the model
+// keeps only the union, rasterized in a persistent bitset that every event
+// patches with word-parallel row fills (mfp3d.RasterizeBox / ClearBox)
+// instead of re-rasterizing every component at snapshot publication:
 //
 //   - Grow is exact without looking at any node set: bounding boxes
 //     compose under union, so the merged component's cuboid is the union
@@ -118,110 +117,74 @@ func SnapshotOf(m grid3.Mesh, faults *nodeset3.Set) (*Snapshot, error) {
 //     union in place — and when a single component absorbs a fault that
 //     lands inside its cuboid, nothing needs touching at all.
 //
-//   - Shrink recomputes the fragments' bounds by re-scanning just those
-//     fragments (the only per-node work in the model; fragments hold only
-//     faults, so the scan is tiny), then re-rasterizes only the rows the
-//     dying component's cuboid covered: clear that cuboid, then re-fill
-//     its intersection with every surviving cuboid that overlaps it. Bits
-//     outside the old cuboid are never touched. An interior repair — one
+//   - Shrink re-rasterizes only the rows the dying component's cuboid
+//     covered: clear that cuboid, then re-fill its intersection with each
+//     surviving cuboid that overlaps it — the fragments' among them — as
+//     the index reports them. Cuboids that miss it are never visited, and
+//     bits outside it are never touched. An interior repair — one
 //     fragment with unchanged bounds — skips the re-rasterization.
 //
-// The maintained bitset therefore always equals the union of the tracked
+// The maintained bitset therefore always equals the union of the indexed
 // boxes, which is byte-identical to batch mfp3d.Build's DisabledCuboid;
 // the differential tests pin this after every event.
 type cuboids struct {
-	mesh    grid3.Mesh
-	unsafe  *nodeset3.Set     // persistent union of boxes, patched per event
-	boxes   map[int]grid3.Box // live component cuboids, keyed by seed
+	index   *kernel.BoxIndex // the engine's: every live component's cuboid
+	unsafe  *nodeset3.Set    // persistent union of the cuboids, patched per event
+	hits    []int32          // query buffer, reused across events
 	metrics cuboidMetrics
-
-	// Pre-bound fragment scan: nodeset3.Bounds builds a fresh closure per
-	// call, which the steady-state apply path cannot afford (see the 3-D
-	// TestApplyBatchAllocsPerEvent gate), so the model keeps one closure
-	// accumulating into scanBox.
-	scanBox grid3.Box
-	scanFn  func(int)
 }
 
-// newCuboids ignores the engine's fault set (the boxes carry all needed
-// state) and its scratch pool: the maintained union lives across events as
-// a field, which the pool's transient-use contract forbids.
-func newCuboids(m grid3.Mesh, _ *nodeset3.Set, _ *kernel.Scratch[grid3.Coord, grid3.Mesh]) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
-	u := &cuboids{
-		mesh:    m,
+// newCuboids ignores the engine's fault set: the indexed boxes carry all
+// the state the model needs.
+func newCuboids(m grid3.Mesh, _ *nodeset3.Set, index *kernel.BoxIndex) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
+	return &cuboids{
+		index:   index,
 		unsafe:  nodeset3.New(m),
-		boxes:   make(map[int]grid3.Box),
 		metrics: newCuboidMetrics(),
 	}
-	u.scanFn = func(i int) { u.scanBox = u.scanBox.Extend(m.CoordAt(i)) }
-	return u
 }
 
-// bounds measures a node set's cuboid by re-scan, the allocation-free
-// counterpart of nodeset3.Bounds.
-func (u *cuboids) bounds(s *nodeset3.Set) grid3.Box {
-	u.scanBox = grid3.EmptyBox()
-	s.EachIndex(u.scanFn)
-	return u.scanBox
+// cuboid converts a kernel box over the 3-D mesh's axes to a grid3.Box.
+func cuboid(b kernel.Box) grid3.Box {
+	if b.Empty() {
+		return grid3.EmptyBox()
+	}
+	return grid3.Box{
+		Min: grid3.XYZ(b.Lo[0], b.Lo[1], b.Lo[2]),
+		Max: grid3.XYZ(b.Hi[0], b.Hi[1], b.Hi[2]),
+	}
 }
 
 // Grow incorporates a fault arrival: the cuboids of the merged-away
 // components (already rasterized) compose into the new component's cuboid.
-func (u *cuboids) Grow(c grid3.Coord, merged []*nodeset3.Set, result *nodeset3.Set) {
-	box := grid3.EmptyBox()
-	single := grid3.EmptyBox()
-	for _, m := range merged {
-		old, ok := u.boxes[m.FirstIndex()]
-		if !ok {
-			panic(fmt.Sprintf("engine3: merged component with seed %d has no cuboid", m.FirstIndex()))
-		}
-		delete(u.boxes, m.FirstIndex())
-		box = box.Union(old)
-		single = old
-	}
-	grown := box.Extend(c)
-	u.boxes[result.FirstIndex()] = grown
-	if len(merged) == 1 && grown == single {
+func (u *cuboids) Grow(_ grid3.Coord, merged []kernel.Box, result kernel.Box) {
+	if len(merged) == 1 && merged[0] == result {
 		return // the fault landed inside its component's cuboid
 	}
-	u.metrics.deltaRows.Add(uint64(mfp3d.RasterizeBox(u.unsafe, grown)))
+	u.metrics.deltaRows.Add(uint64(mfp3d.RasterizeBox(u.unsafe, cuboid(result))))
 }
 
-// Load measures each component's cuboid once and rasterizes it once, on a
-// model that has seen no faults.
-func (u *cuboids) Load(comps []*nodeset3.Set) {
-	u.boxes = make(map[int]grid3.Box, len(comps))
+// Load rasterizes each component's cuboid once, on a model that has seen
+// no faults.
+func (u *cuboids) Load(boxes []kernel.Box) {
 	rows := 0
-	for _, c := range comps {
-		b := u.bounds(c)
-		u.boxes[c.FirstIndex()] = b
-		rows += mfp3d.RasterizeBox(u.unsafe, b)
+	for _, b := range boxes {
+		rows += mfp3d.RasterizeBox(u.unsafe, cuboid(b))
 	}
 	u.metrics.deltaRows.Add(uint64(rows))
 }
 
-// Shrink incorporates a repair: the dying component's cuboid is dropped,
-// the fragments' cuboids are measured by re-scan, and only the dropped
-// cuboid's rows are re-rasterized.
-func (u *cuboids) Shrink(c grid3.Coord, removed *nodeset3.Set, fragments []*nodeset3.Set) {
-	oldSeed := removed.FirstIndex()
-	old, ok := u.boxes[oldSeed]
-	if !ok {
-		panic(fmt.Sprintf("engine3: shrunk component with seed %d has no cuboid", oldSeed))
-	}
-	delete(u.boxes, oldSeed)
-	unchanged := false
-	for _, f := range fragments {
-		b := u.bounds(f)
-		u.boxes[f.FirstIndex()] = b
-		unchanged = len(fragments) == 1 && b == old
-	}
-	if unchanged {
+// Shrink incorporates a repair: only the dropped cuboid's rows are
+// re-rasterized, from the surviving cuboids the index finds overlapping
+// it.
+func (u *cuboids) Shrink(_ grid3.Coord, removed kernel.Box, fragments []kernel.Box) {
+	if len(fragments) == 1 && fragments[0] == removed {
 		return // interior repair: the surviving fragment keeps the cuboid
 	}
-	rows := mfp3d.ClearBox(u.unsafe, old)
-	for _, b := range u.boxes {
-		rows += mfp3d.RasterizeBox(u.unsafe, b.Intersect(old))
+	rows := mfp3d.ClearBox(u.unsafe, cuboid(removed))
+	u.hits = u.index.Query(removed, u.hits[:0])
+	for _, slot := range u.hits {
+		rows += mfp3d.RasterizeBox(u.unsafe, cuboid(u.index.Box(slot).Intersect(removed)))
 	}
 	u.metrics.rebuildRows.Add(uint64(rows))
 }

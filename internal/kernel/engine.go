@@ -66,32 +66,33 @@ func (e Event[C]) String() string { return fmt.Sprintf("%s%v", e.Op, e.Node) }
 // (rectangular faulty blocks kept at a fixpoint by local propagation); the
 // 3-D analogue is the union of component bounding cuboids, maintained
 // incrementally from per-component bounds. The engine calls Grow/Shrink
-// under its lock right after the fault set changes, and Unsafe at snapshot
-// publication.
+// under its lock right after the fault set and its box index change, and
+// Unsafe at snapshot publication.
 //
-// Grow and Shrink receive the touched components so stateful models can
-// key per-component state by seed (Set.FirstIndex) instead of rescanning
-// the component list. The component sets passed to them are owned by the
-// engine and valid only for the duration of the call — unpublished sets
-// are recycled into the scratch pool right after — so models must copy
-// whatever they need (bounds, seeds) and never retain the sets.
+// Grow and Shrink receive the bounding boxes of the touched components,
+// and the factory hands the model the engine's BoxIndex over every live
+// component's box, so a model that needs the components near an event
+// queries the index instead of keeping its own per-component state. The
+// box slices are the engine's and valid only during the call.
 type BlockModel[C any, T Topology[C]] interface {
 	// Grow incorporates a fault arrival at c (already in the fault set).
-	// merged lists the node sets of the components the arrival merged away
-	// (empty when c seeds a new component) and result is the component
-	// that replaced them, c included.
-	Grow(c C, merged []*Set[C, T], result *Set[C, T])
+	// merged lists the boxes of the components the arrival merged away
+	// (empty when c seeds a new component) and result is the box of the
+	// component that replaced them, c included; the index already holds
+	// result instead of merged.
+	Grow(c C, merged []Box, result Box)
 	// Shrink incorporates a repair at c (already removed from the fault
-	// set). removed is the node set of the component that contained c
-	// (c still included) and fragments are the components it split into —
-	// empty when c was the component's last fault.
-	Shrink(c C, removed *Set[C, T], fragments []*Set[C, T])
+	// set). removed is the box of the component that contained c and
+	// fragments are the boxes of the components it split into — empty
+	// when c was the component's last fault; the index already holds the
+	// fragments instead of removed.
+	Shrink(c C, removed Box, fragments []Box)
 	// Load initialises a model that has seen no faults from a whole fault
-	// set at once: comps are its components in seed order, and the fault
-	// set is already in place. It is the bulk counterpart of one Grow per
-	// fault and must leave the model in the state those Grows would; comps
-	// are read-only and valid only during the call, like Grow's sets.
-	Load(comps []*Set[C, T])
+	// set at once: boxes are its components' boxes in seed order, the
+	// fault set and the index are already in place. It is the bulk
+	// counterpart of one Grow per fault and must leave the model in the
+	// state those Grows would.
+	Load(boxes []Box)
 	// Unsafe returns a fresh unsafe set for the current state. The result
 	// is owned by the caller (it is published in an immutable snapshot).
 	Unsafe() *Set[C, T]
@@ -110,6 +111,8 @@ type entry[C any, T Topology[C]] struct {
 	// component search would produce, so snapshots are byte-identical to a
 	// full rebuild.
 	seed int
+	// slot is the component's box in the engine's BoxIndex.
+	slot int32
 	// published marks entries a snapshot has shared. Only unpublished
 	// entries — created and replaced within one batch — may recycle their
 	// sets into the scratch free list; published sets belong to snapshots
@@ -141,6 +144,18 @@ type Engine[C any, T Topology[C]] struct {
 	// owners maps every fault's dense index to its component's owner; it
 	// holds exactly one key per fault.
 	owners map[int]*owner[C, T]
+	// index holds every live component's box under its entry's slot, and
+	// bySlot maps a slot back to the entry.
+	index  *BoxIndex
+	bySlot []*entry[C, T]
+	// disabled is the union of the published polygons, repaired by each
+	// publish where the batch removed polygons (see publish). removedPolys
+	// and removedBoxes are the published polygons the batch removed, and
+	// added the entries it inserted (some replaced again within the batch).
+	disabled     *Set[C, T]
+	removedPolys []*Set[C, T]
+	removedBoxes []Box
+	added        []*entry[C, T]
 
 	// Reusable working memory of the apply path, all guarded by mu: the
 	// geometry scratch (flood bookkeeping, span tables, set free list) and
@@ -149,7 +164,8 @@ type Engine[C any, T Topology[C]] struct {
 	scr         *Scratch[C, T]
 	neigh       []C
 	merged      []*owner[C, T]
-	mergedSets  []*Set[C, T]
+	boxes       []Box
+	hits        []int32
 	freeEntries []*entry[C, T]
 	freeOwners  []*owner[C, T]
 	// relabel points every index it is called with at relabelTo; it is
@@ -161,25 +177,25 @@ type Engine[C any, T Topology[C]] struct {
 }
 
 // NewEngine returns an engine over an empty fault set, with the given
-// block-model factory (called with the engine's live fault set, which the
-// model may read but must not mutate, and the engine's scratch, through
-// which rasterizing models may recycle transient sets — pooled sets must
-// be put back before the call returns, never stored). Topology
-// restrictions — the 2-D engine rejects tori, for example — belong in the
-// instantiating package's constructor.
-func NewEngine[C any, T Topology[C]](mesh T, blocks func(T, *Set[C, T], *Scratch[C, T]) BlockModel[C, T]) (*Engine[C, T], error) {
+// block-model factory (called with the engine's live fault set and its
+// box index, which the model may read and query but must not mutate).
+// Topology restrictions — the 2-D engine rejects tori, for example —
+// belong in the instantiating package's constructor.
+func NewEngine[C any, T Topology[C]](mesh T, blocks func(T, *Set[C, T], *BoxIndex) BlockModel[C, T]) (*Engine[C, T], error) {
 	if mesh.Size() == 0 {
 		return nil, fmt.Errorf("engine: empty mesh")
 	}
 	e := &Engine[C, T]{
-		mesh:    mesh,
-		metrics: newEngineMetrics(mesh.Axes()),
-		faults:  NewSet[C](mesh),
-		owners:  make(map[int]*owner[C, T]),
-		scr:     NewScratch[C](mesh),
+		mesh:     mesh,
+		metrics:  newEngineMetrics(mesh.Axes()),
+		faults:   NewSet[C](mesh),
+		owners:   make(map[int]*owner[C, T]),
+		index:    NewBoxIndex[C](mesh),
+		disabled: NewSet[C](mesh),
+		scr:      NewScratch[C](mesh),
 	}
 	e.relabel = func(i int) { e.owners[i] = e.relabelTo }
-	e.blocks = blocks(mesh, e.faults, e.scr)
+	e.blocks = blocks(mesh, e.faults, e.index)
 	e.publish()
 	return e, nil
 }
@@ -295,6 +311,7 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 		e.metrics.eventsApplied.Add(uint64(applied))
 		e.publish()
 	}
+	e.metrics.indexVisits.Add(e.index.takeVisits())
 	return applied, e.snap.Load(), nil
 }
 
@@ -309,11 +326,12 @@ func onlyAdds[C any](events []Event[C]) bool {
 }
 
 // loadLocked is the bulk build of an engine holding no faults: it adds
-// every arrival to the fault set, floods the components once, closes each
-// once and hands the component list to the block model. The flood yields
-// components in seed order, so entries are appended, and each component
-// gets one owner. It returns how many arrivals changed the fault set
-// (a duplicate within the batch counts once).
+// every arrival to the fault set, floods the components once, measures
+// each one's box once — the index is built from those boxes in one pass
+// and the block model loaded from them — and closes each once. The flood
+// yields components in seed order, so entries are appended, and each
+// component gets one owner. It returns how many arrivals changed the
+// fault set (a duplicate within the batch counts once).
 func (e *Engine[C, T]) loadLocked(events []Event[C]) int {
 	applied := 0
 	for _, ev := range events {
@@ -325,16 +343,26 @@ func (e *Engine[C, T]) loadLocked(events []Event[C]) int {
 		return 0
 	}
 	comps := e.scr.Regions(e.faults)
-	e.blocks.Load(comps)
+	boxes := make([]Box, len(comps))
+	for i, nodes := range comps {
+		boxes[i] = nodes.Bounds()
+	}
+	e.index.Load(boxes)
+	e.blocks.Load(boxes)
 	e.owners = make(map[int]*owner[C, T], applied)
 	e.entries = slices.Grow(e.entries[:0], len(comps))
+	e.bySlot = slices.Grow(e.bySlot[:0], len(comps))
 	passes := 0
-	for _, nodes := range comps {
+	for i, nodes := range comps {
 		poly, p := e.scr.Closure(nodes)
 		passes += p
+		en := e.newEntry(nodes, poly)
+		en.slot = int32(i)
 		e.relabelTo = e.newOwner()
-		e.relabelTo.en = e.newEntry(nodes, poly)
-		e.entries = append(e.entries, e.relabelTo.en)
+		e.relabelTo.en = en
+		e.entries = append(e.entries, en)
+		e.bySlot = append(e.bySlot, en)
+		e.added = append(e.added, en)
 		nodes.EachIndex(e.relabel)
 	}
 	e.scr.dropFlood()
@@ -370,8 +398,12 @@ func (e *Engine[C, T]) addLocked(c C) bool {
 		}
 	}
 
+	// Boxes compose under union: the merged component's box is its parts'
+	// boxes extended by c, read from the index before removeEntry frees
+	// their slots.
 	nodes := e.scr.take(e.mesh)
-	e.mergedSets = e.mergedSets[:0]
+	box := PointBox(e.mesh, c)
+	e.boxes = e.boxes[:0]
 	if keep != nil {
 		nodes.CopyFrom(keep.en.nodes)
 	}
@@ -379,13 +411,11 @@ func (e *Engine[C, T]) addLocked(c C) bool {
 		if o != keep {
 			nodes.UnionWith(o.en.nodes)
 		}
-		e.mergedSets = append(e.mergedSets, o.en.nodes)
+		b := e.index.Box(o.en.slot)
+		e.boxes = append(e.boxes, b)
+		box = box.Union(b)
 	}
 	nodes.AddIndex(ci)
-	// The block model sees the merge before removeEntry may recycle the
-	// replaced components' sets: Grow's contract is that merged/result are
-	// readable only during the call.
-	e.blocks.Grow(c, e.mergedSets, nodes)
 	if keep == nil {
 		keep = e.newOwner()
 	}
@@ -403,7 +433,8 @@ func (e *Engine[C, T]) addLocked(c C) bool {
 	e.merged = merged[:0]
 	poly, passes := e.scr.Closure(nodes)
 	keep.en = e.newEntry(nodes, poly)
-	e.insertEntry(keep.en)
+	e.insertEntry(keep.en, box)
+	e.blocks.Grow(c, e.boxes, box)
 	e.metrics.componentsTouched.Add(uint64(len(merged)) + 1)
 	e.metrics.closures.Inc()
 	e.metrics.closurePasses.Add(uint64(passes))
@@ -431,10 +462,7 @@ func (e *Engine[C, T]) clearLocked(c C) bool {
 	remaining.CopyFrom(dying.nodes)
 	remaining.RemoveIndex(ci)
 	fragments := e.scr.Regions(remaining)
-	// The block model sees the split while the dying component's set is
-	// still intact: Shrink's contract is that removed/fragments are
-	// readable only during the call.
-	e.blocks.Shrink(c, dying.nodes, fragments)
+	dyingBox := e.index.Box(dying.slot)
 	e.removeEntry(dying)
 	e.metrics.componentsTouched.Inc()
 	largest := 0
@@ -446,10 +474,13 @@ func (e *Engine[C, T]) clearLocked(c C) bool {
 	if len(fragments) == 0 {
 		e.freeOwner(own)
 	}
+	e.boxes = e.boxes[:0]
 	for i, region := range fragments {
 		poly, passes := e.scr.Closure(region)
 		en := e.newEntry(region, poly)
-		e.insertEntry(en)
+		box := region.Bounds()
+		e.boxes = append(e.boxes, box)
+		e.insertEntry(en, box)
 		if i == largest {
 			own.en = en
 		} else {
@@ -460,6 +491,7 @@ func (e *Engine[C, T]) clearLocked(c C) bool {
 		e.metrics.closures.Inc()
 		e.metrics.closurePasses.Add(uint64(passes))
 	}
+	e.blocks.Shrink(c, dyingBox, e.boxes)
 	e.scr.put(remaining)
 	return true
 }
@@ -494,7 +526,9 @@ func (e *Engine[C, T]) newEntry(nodes, poly *Set[C, T]) *entry[C, T] {
 }
 
 // removeEntry deletes en from the seed-sorted slice by binary search on
-// its seed, preserving the order of the survivors.
+// its seed, preserving the order of the survivors, and its box from the
+// index. A published entry's polygon is recorded for publish to take out
+// of the disabled union.
 func (e *Engine[C, T]) removeEntry(en *entry[C, T]) {
 	i := sort.Search(len(e.entries), func(i int) bool { return e.entries[i].seed >= en.seed })
 	if i == len(e.entries) || e.entries[i] != en {
@@ -503,11 +537,16 @@ func (e *Engine[C, T]) removeEntry(en *entry[C, T]) {
 	copy(e.entries[i:], e.entries[i+1:])
 	e.entries[len(e.entries)-1] = nil
 	e.entries = e.entries[:len(e.entries)-1]
+	box := e.index.Box(en.slot)
+	e.index.Remove(en.slot)
+	e.bySlot[en.slot] = nil
 	// An entry replaced within the batch that created it was never shared
 	// with a snapshot: its sets go back to the scratch free list and the
 	// struct to the entry free list. Published entries stay referenced by
 	// snapshots and are simply dropped.
 	if en.published {
+		e.removedPolys = append(e.removedPolys, en.poly)
+		e.removedBoxes = append(e.removedBoxes, box)
 		return
 	}
 	if en.poly != en.nodes {
@@ -520,17 +559,27 @@ func (e *Engine[C, T]) removeEntry(en *entry[C, T]) {
 
 // insertEntry places en at its seed-sorted position, keeping the entry
 // order identical to the index-order seed order a from-scratch component
-// search produces.
-func (e *Engine[C, T]) insertEntry(en *entry[C, T]) {
+// search produces, and its box in the index.
+func (e *Engine[C, T]) insertEntry(en *entry[C, T], box Box) {
 	i := sort.Search(len(e.entries), func(i int) bool { return e.entries[i].seed > en.seed })
 	e.entries = append(e.entries, nil)
 	copy(e.entries[i+1:], e.entries[i:])
 	e.entries[i] = en
+	en.slot = e.index.Insert(box)
+	if int(en.slot) == len(e.bySlot) {
+		e.bySlot = append(e.bySlot, en)
+	} else {
+		e.bySlot[en.slot] = en
+	}
+	e.added = append(e.added, en)
 }
 
-// CheckOwners verifies the fault index: it holds exactly one key per
-// fault, and every fault's owner is a cached component containing that
-// fault. The differential tests run it after every event.
+// CheckOwners verifies the engine's indexes: the box index holds exactly
+// the live components under their entries' slots, each with its exact
+// bounds; the maintained disabled union is the union of the polygons; and
+// the fault index holds exactly one key per fault, every fault's owner
+// being a cached component containing that fault. The differential tests
+// run it after every event.
 func (e *Engine[C, T]) CheckOwners() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -540,6 +589,22 @@ func (e *Engine[C, T]) CheckOwners() error {
 	live := make(map[*entry[C, T]]bool, len(e.entries))
 	for _, en := range e.entries {
 		live[en] = true
+	}
+	if e.index.Len() != len(e.entries) {
+		return fmt.Errorf("engine: box index holds %d boxes for %d components", e.index.Len(), len(e.entries))
+	}
+	disabled := NewSet[C](e.mesh)
+	for _, en := range e.entries {
+		if e.bySlot[en.slot] != en {
+			return fmt.Errorf("engine: component with seed %d not under its index slot", en.seed)
+		}
+		if e.index.Box(en.slot) != en.nodes.Bounds() {
+			return fmt.Errorf("engine: component with seed %d indexed under box %v, bounds %v", en.seed, e.index.Box(en.slot), en.nodes.Bounds())
+		}
+		disabled.UnionWith(en.poly)
+	}
+	if !disabled.Equal(e.disabled) {
+		return fmt.Errorf("engine: maintained disabled union differs from the union of the polygons")
 	}
 	var err error
 	e.faults.EachIndex(func(i int) {
@@ -561,49 +626,83 @@ func (e *Engine[C, T]) CheckOwners() error {
 // the one Snapshot returns. Polygons and components are shared with the
 // cache (and with every previous snapshot that saw the same component);
 // only the fault set, the disabled union and the block model's unsafe set
-// are fresh.
+// are fresh copies.
+//
+// The disabled union is repaired where the batch changed it rather than
+// rebuilt from every polygon. Polygons of distinct components may overlap,
+// so taking a removed polygon out can clear nodes another polygon still
+// covers; those polygons all overlap the removed one's box, and the index
+// finds them. In order: subtract each removed polygon, OR back every
+// published polygon whose box overlaps a removed box, OR in each new
+// polygon. Entries created and replaced within the batch never touch the
+// set. The cost follows the polygons near the change, not the component
+// count.
 //
 // Components and polygons published for the first time are trimmed to
 // their windows, so a component costs its own extent rather than the
 // scratch array it was built in; the arrays they leave go back to the
-// scratch pool. The disabled union is rebuilt from the polygon windows
-// with count-free ORs into a set sized once to their union, and one
-// recount: O(components + union window), independent of how the batch
-// changed the state.
+// scratch pool.
 //
 //mfplint:owned publish is the one legitimate snapshot writer: it mutates s (and trims entry sets no snapshot holds yet) strictly before e.snap.Store makes them visible, so no reader can observe the writes.
 func (e *Engine[C, T]) publish() {
+	for _, p := range e.removedPolys {
+		e.disabled.SubtractWith(p)
+	}
+	for _, b := range e.removedBoxes {
+		e.hits = e.index.Query(b, e.hits[:0])
+		for _, slot := range e.hits {
+			if en := e.bySlot[slot]; en.published {
+				e.disabled.UnionWith(en.poly)
+			}
+		}
+	}
+	clear(e.removedPolys)
+	e.removedPolys, e.removedBoxes = e.removedPolys[:0], e.removedBoxes[:0]
+
+	// New entries: trim them, size the union's window once to cover them
+	// all (the bulk build adds every polygon here), then OR them in. An
+	// entry listed twice was recycled and reused within the batch, and a
+	// recycled entry not reused has no nodes; both are skipped.
+	lo, hi := e.disabled.off, e.disabled.off+len(e.disabled.words)
+	if len(e.disabled.words) == 0 {
+		lo, hi = e.disabled.meshWords(), 0
+	}
+	n := 0
+	for _, en := range e.added {
+		if en.nodes == nil || en.published {
+			continue
+		}
+		e.scr.recycle(en.nodes.trim())
+		if en.poly != en.nodes {
+			e.scr.recycle(en.poly.trim())
+		}
+		en.published = true
+		lo = min(lo, en.poly.off)
+		hi = max(hi, en.poly.off+len(en.poly.words))
+		e.added[n] = en
+		n++
+	}
+	if hi > lo {
+		e.disabled.grow(lo, hi)
+	}
+	for _, en := range e.added[:n] {
+		e.disabled.UnionWith(en.poly)
+	}
+	clear(e.added)
+	e.added = e.added[:0]
+
 	s := &Snapshot[C, T]{
 		mesh:     e.mesh,
 		version:  e.version,
 		faults:   e.faults.Clone(),
 		comps:    make([]*Set[C, T], len(e.entries)),
 		polygons: make([]*Set[C, T], len(e.entries)),
-		disabled: NewSet[C](e.mesh),
+		disabled: e.disabled.Clone(),
 	}
-	lo, hi := 0, 0
 	for i, en := range e.entries {
-		if !en.published {
-			e.scr.recycle(en.nodes.trim())
-			if en.poly != en.nodes {
-				e.scr.recycle(en.poly.trim())
-			}
-			en.published = true
-		}
 		s.comps[i] = en.nodes
 		s.polygons[i] = en.poly
-		if i == 0 || en.poly.off < lo {
-			lo = en.poly.off
-		}
-		hi = max(hi, en.poly.off+len(en.poly.words))
 	}
-	if hi > lo {
-		s.disabled.grow(lo, hi)
-	}
-	for _, p := range s.polygons {
-		s.disabled.orWithNoCount(p)
-	}
-	s.disabled.recount()
 	s.unsafe = e.blocks.Unsafe()
 	e.snap.Store(s)
 	e.metrics.publishes.Inc()

@@ -154,7 +154,7 @@ func TestEventWireFormat(t *testing.T) {
 // split on clear, deterministic component order, validated snapshots.
 func TestEngineGeneric3D(t *testing.T) {
 	m := grid3.New(6, 6, 6)
-	eng, err := kernel.NewEngine(m, func(_ grid3.Mesh, faults *kernel.Set[grid3.Coord, grid3.Mesh], _ *kernel.Scratch[grid3.Coord, grid3.Mesh]) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
+	eng, err := kernel.NewEngine(m, func(_ grid3.Mesh, faults *kernel.Set[grid3.Coord, grid3.Mesh], _ *kernel.BoxIndex) kernel.BlockModel[grid3.Coord, grid3.Mesh] {
 		return boxModel{faults}
 	})
 	if err != nil {
@@ -185,11 +185,9 @@ type boxModel struct {
 	faults *kernel.Set[grid3.Coord, grid3.Mesh]
 }
 
-func (boxModel) Grow(grid3.Coord, []*kernel.Set[grid3.Coord, grid3.Mesh], *kernel.Set[grid3.Coord, grid3.Mesh]) {
-}
-func (boxModel) Shrink(grid3.Coord, *kernel.Set[grid3.Coord, grid3.Mesh], []*kernel.Set[grid3.Coord, grid3.Mesh]) {
-}
-func (boxModel) Load([]*kernel.Set[grid3.Coord, grid3.Mesh]) {}
+func (boxModel) Grow(grid3.Coord, []kernel.Box, kernel.Box)   {}
+func (boxModel) Shrink(grid3.Coord, kernel.Box, []kernel.Box) {}
+func (boxModel) Load([]kernel.Box)                            {}
 
 // Unsafe covers every polytope with the closure of the whole fault set
 // (the union of the components), so Validate's MFP ⊆ FB check holds in

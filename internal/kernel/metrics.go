@@ -20,6 +20,8 @@ var (
 		"Fill passes executed inside closure recomputations; passes per closure is the convergence depth of the paper's span-fill fixpoint.", "dim")
 	metricPublishes = obs.Default.CounterVec("engine_snapshot_publishes_total",
 		"Immutable snapshots published.", "dim")
+	metricIndexVisits = obs.Default.CounterVec("engine_index_visits_total",
+		"Component boxes examined by box-index queries (disabled-union repair, cuboid re-fill); per event it follows the components near the event, not the component count.", "dim")
 )
 
 // engineMetrics is one engine's pre-resolved instrument set.
@@ -29,6 +31,7 @@ type engineMetrics struct {
 	closures          *obs.Counter
 	closurePasses     *obs.Counter
 	publishes         *obs.Counter
+	indexVisits       *obs.Counter
 }
 
 func newEngineMetrics(axes int) engineMetrics {
@@ -51,5 +54,6 @@ func newEngineMetrics(axes int) engineMetrics {
 		closures:          metricClosures.With(dim),
 		closurePasses:     metricClosurePasses.With(dim),
 		publishes:         metricPublishes.With(dim),
+		indexVisits:       metricIndexVisits.With(dim),
 	}
 }

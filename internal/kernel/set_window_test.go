@@ -391,10 +391,9 @@ func TestSetWindowScratchRecycle(t *testing.T) {
 // engine tests that do not look at the unsafe set's shape.
 type stubModel struct{ faults *Set[grid.Coord, grid.Mesh] }
 
-func (stubModel) Grow(grid.Coord, []*Set[grid.Coord, grid.Mesh], *Set[grid.Coord, grid.Mesh]) {}
-func (stubModel) Shrink(grid.Coord, *Set[grid.Coord, grid.Mesh], []*Set[grid.Coord, grid.Mesh]) {
-}
-func (stubModel) Load([]*Set[grid.Coord, grid.Mesh])    {}
+func (stubModel) Grow(grid.Coord, []Box, Box)           {}
+func (stubModel) Shrink(grid.Coord, Box, []Box)         {}
+func (stubModel) Load([]Box)                            {}
 func (b stubModel) Unsafe() *Set[grid.Coord, grid.Mesh] { return b.faults.Clone() }
 
 // A singleton component on a 2048² mesh is published with a one-word
@@ -402,7 +401,7 @@ func (b stubModel) Unsafe() *Set[grid.Coord, grid.Mesh] { return b.faults.Clone(
 // was built in came from a component spanning many rows.
 func TestEngineSingletonWindow2048(t *testing.T) {
 	m := grid.New(2048, 2048)
-	e, err := NewEngine[grid.Coord](m, func(_ grid.Mesh, faults *Set[grid.Coord, grid.Mesh], _ *Scratch[grid.Coord, grid.Mesh]) BlockModel[grid.Coord, grid.Mesh] {
+	e, err := NewEngine[grid.Coord](m, func(_ grid.Mesh, faults *Set[grid.Coord, grid.Mesh], _ *BoxIndex) BlockModel[grid.Coord, grid.Mesh] {
 		return stubModel{faults}
 	})
 	if err != nil {
