@@ -27,7 +27,7 @@ CRASH_FLAGS ?=
 # worker counts) and byte-compares.
 ROUTE_FLAGS ?= -mesh 50 -faults 25,50,100 -trials 3 -route-messages 200
 
-.PHONY: all build test race cover fuzz stress-check crash-check route-check bench bench-json bench-check bench-baseline docs-check lint staticcheck mfplint govulncheck tidy-check fmt clean
+.PHONY: all build test race cover fuzz stress-check crash-check route-check exhaustive-check bench bench-json bench-check bench-baseline docs-check lint staticcheck mfplint govulncheck tidy-check fmt clean
 
 all: lint build test
 
@@ -91,6 +91,14 @@ route-check:
 	$(GO) run ./cmd/mfpsim -route $(ROUTE_FLAGS) -workers 7 > route-sweep-b.txt
 	cmp route-sweep-a.txt route-sweep-b.txt
 	@cat route-sweep-a.txt
+
+# The engine's bounded-exhaustive gate: the Gray-code walk of
+# internal/kernel/exhaustive_test.go over every fault set of a 20-node 2-D
+# mesh (5x4, about a million states) and an 18-node 3-D mesh (3x3x2), each
+# state checked against the from-scratch constructions. Tier-1 runs the
+# same walk at 16 and 12 nodes. CI runs this on every PR.
+exhaustive-check:
+	$(GO) test -count=1 -timeout 30m -run '^TestExhaustive' ./internal/kernel -args -exhaustive-large
 
 # One iteration of every Go benchmark, no unit tests — the CI smoke run.
 bench:

@@ -19,9 +19,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/mfp"
 	"repro/internal/mfp3d"
 	"repro/internal/nodeset"
+	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/wal"
 )
@@ -347,6 +349,9 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 		}
 	}
 
+	if err := componentSweepRecords(rep, iterations); err != nil {
+		return nil, err
+	}
 	if err := engineAllocsRecord(rep); err != nil {
 		return nil, err
 	}
@@ -402,6 +407,120 @@ func churnPerEventRecord(rep *benchfmt.Report, c experiments.ChurnConfig, iterat
 	rep.Add(benchfmt.Record{
 		Name:    fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.MeshSize, c.Faults, c.Events, c.BaseSeed),
 		Workers: 1, Iterations: iters, Seconds: secs / float64(len(round)),
+	})
+	return nil
+}
+
+// componentSweepFaults are the fault counts of the component-count sweep.
+// On a fixed mesh the component count rises with them (about 600, 2000
+// and 4200 components at 64³).
+var componentSweepFaults = []int{650, 2600, 10400}
+
+// componentSweepRecords times the engine's per-event cost against the
+// component count at a fixed mesh — 512² in 2-D, 64³ in 3-D, clustered
+// faults as in the e2ebench churn layouts — and records, per point, the
+// seconds per event and the box-index visits per event (unit
+// "visits/event", read from engine_index_visits_total). Per-event cost
+// that follows the touched components stays flat across the sweep.
+func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
+	for _, n := range componentSweepFaults {
+		m := grid.New(512, 512)
+		e, err := engine.New(m)
+		if err != nil {
+			return err
+		}
+		base := fault.InjectWithMargin(m, fault.Clustered, 1, n, 2).Coords()
+		name := fmt.Sprintf("components/churn2d/mesh%d/faults%d/clustered/seed1", m.W, n)
+		if err := componentSweepRecord(rep, name, "2", e, base, iterations); err != nil {
+			return err
+		}
+	}
+	for _, n := range componentSweepFaults {
+		m := grid3.New(64, 64, 64)
+		e, err := engine3.New(m)
+		if err != nil {
+			return err
+		}
+		var base []grid3.Coord
+		mfp3d.ClusteredFaults(grid3.New(m.W-2, m.H-2, m.D-2), n, 1).Each(func(p grid3.Coord) {
+			base = append(base, grid3.XYZ(p.X+1, p.Y+1, p.Z+1))
+		})
+		name := fmt.Sprintf("components/churn3d/mesh%d/faults%d/clustered/seed1", m.W, n)
+		if err := componentSweepRecord(rep, name, "3", e, base, iterations); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// componentSweepRecord loads base into the empty engine e in one batch,
+// then times 4-event churn batches like the e2ebench churn workloads':
+// each event clears a fault an earlier churn event added or adds a
+// healthy neighbour of a base fault. The churn is followed by its
+// inverse, so every timed run starts from the same state. It adds the
+// per-event seconds and the per-event index visits of one untimed run.
+func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, name, dim string, e *kernel.Engine[C, T], base []C, iterations int) error {
+	load := make([]kernel.Event[C], len(base))
+	for i, c := range base {
+		load[i] = kernel.Event[C]{Op: kernel.Add, Node: c}
+	}
+	if _, _, err := e.Apply(load); err != nil {
+		return err
+	}
+	const events, batch = 256, 4
+	mesh := e.Mesh()
+	faulty := kernel.SetOf(mesh, base...)
+	rng := rand.New(rand.NewSource(1))
+	var added, neigh []C
+	round := make([]kernel.Event[C], 0, 2*events)
+	for len(round) < events {
+		if len(added) > 0 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(added))
+			c := added[i]
+			added[i] = added[len(added)-1]
+			added = added[:len(added)-1]
+			faulty.Remove(c)
+			round = append(round, kernel.Event[C]{Op: kernel.Clear, Node: c})
+			continue
+		}
+		neigh = mesh.Adjacent(base[rng.Intn(len(base))], neigh[:0])
+		if c := neigh[rng.Intn(len(neigh))]; faulty.Add(c) {
+			added = append(added, c)
+			round = append(round, kernel.Event[C]{Op: kernel.Add, Node: c})
+		}
+	}
+	for i := events - 1; i >= 0; i-- {
+		inv := kernel.Event[C]{Op: kernel.Add, Node: round[i].Node}
+		if round[i].Op == kernel.Add {
+			inv.Op = kernel.Clear
+		}
+		round = append(round, inv)
+	}
+	var runErr error
+	run := func() {
+		for i := 0; i < len(round); i += batch {
+			if _, _, err := e.Apply(round[i : i+batch]); err != nil {
+				runErr = err
+			}
+		}
+	}
+	before, _ := obs.Default.Value("engine_index_visits_total", dim)
+	run()
+	visits, _ := obs.Default.Value("engine_index_visits_total", dim)
+	secs, iters := timeIt(iterations, run)
+	if runErr != nil {
+		return runErr
+	}
+	if got := e.Snapshot().Faults().Len(); got != len(base) {
+		return fmt.Errorf("%s: inverse replay left %d faults, want %d", name, got, len(base))
+	}
+	rep.Add(benchfmt.Record{
+		Name: name + "/per-event", Workers: 1, Iterations: iters,
+		Seconds: secs / float64(len(round)),
+	})
+	rep.Add(benchfmt.Record{
+		Name: name + "/index-visits", Workers: 1, Iterations: 1,
+		Seconds: (visits - before) / float64(len(round)), Unit: "visits/event",
 	})
 	return nil
 }

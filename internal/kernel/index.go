@@ -80,27 +80,31 @@ func (b Box) Intersect(o Box) Box {
 
 // Bounds returns the smallest box holding every node of the set
 // (EmptyBox for an empty set). It walks the set's words directly, so it
-// allocates nothing.
+// allocates nothing, and splits each index into axis positions by the
+// row-major contract (AxisStride): one division per axis but the last.
 func (s *Set[C, T]) Bounds() Box {
 	b := EmptyBox()
 	if s.n == 0 {
 		return b
 	}
-	axes := s.topo.Axes()
-	var stride, length [maxAxes]int
-	for a := 0; a < axes; a++ {
-		stride[a], length[a] = s.topo.AxisStride(a), s.topo.AxisLen(a)
+	last := s.topo.Axes() - 1
+	var length [maxAxes]int
+	for a := 0; a <= last; a++ {
+		length[a] = s.topo.AxisLen(a)
 		b.Lo[a], b.Hi[a] = length[a], -1
 	}
 	for k, w := range s.words {
 		for w != 0 {
-			i := (s.off+k)<<6 | bits.TrailingZeros64(w)
+			q := (s.off+k)<<6 | bits.TrailingZeros64(w)
 			w &= w - 1
-			for a := 0; a < axes; a++ {
-				p := i / stride[a] % length[a]
+			for a := 0; a < last; a++ {
+				p := q % length[a]
+				q /= length[a]
 				b.Lo[a] = min(b.Lo[a], p)
 				b.Hi[a] = max(b.Hi[a], p)
 			}
+			b.Lo[last] = min(b.Lo[last], q)
+			b.Hi[last] = max(b.Hi[last], q)
 		}
 	}
 	return b
@@ -227,12 +231,13 @@ func (x *BoxIndex) Remove(slot int32) {
 }
 
 // Load replaces the index's contents with boxes, which take slots 0 to
-// len(boxes)-1 in order. It is the bulk counterpart of one Insert per box:
-// one pass counts each bucket's members and a second fills them into one
-// shared array (a CSR layout), so the build allocates the array once
-// instead of growing every bucket.
+// len(boxes)-1 in order; the index keeps the slice as its slot table. It
+// is the bulk counterpart of one Insert per box: one pass counts each
+// bucket's members and a second fills them into one shared array (a CSR
+// layout), so the build allocates the array once instead of growing every
+// bucket.
 func (x *BoxIndex) Load(boxes []Box) {
-	x.boxes = append(x.boxes[:0], boxes...)
+	x.boxes = boxes
 	x.free = x.free[:0]
 	counts := make([]int32, len(x.buckets)+1)
 	x.eachCell(func(k int, _ int32) { counts[k+1]++ })
