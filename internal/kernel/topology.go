@@ -27,6 +27,14 @@
 //   - Engine[C, T] maintains per-component minimum polygons (polytopes)
 //     incrementally under fault churn, with copy-on-write snapshots;
 //     internal/engine and internal/engine3 instantiate it.
+//   - BoxIndex is the engine's one spatial index: a bucket grid over the
+//     mesh's axes holding every live component's bounding Box (which is
+//     also its polygon's). It answers "which components overlap this
+//     box" from the buckets the box covers, so the bookkeeping around an
+//     event follows the components near it, not the component count:
+//     publish repairs a persistent disabled union only where the batch
+//     removed polygons, and the 3-D cuboid block model re-fills only the
+//     cuboids that overlap one a repair shrank.
 //
 // Error strings deliberately keep the prefixes of the packages that front
 // the kernel (engine:, mfp:), so the refactor is invisible to callers that
