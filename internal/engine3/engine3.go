@@ -150,8 +150,8 @@ func cuboid(b kernel.Box) grid3.Box {
 		return grid3.EmptyBox()
 	}
 	return grid3.Box{
-		Min: grid3.XYZ(b.Lo[0], b.Lo[1], b.Lo[2]),
-		Max: grid3.XYZ(b.Hi[0], b.Hi[1], b.Hi[2]),
+		Min: grid3.XYZ(int(b.Lo[0]), int(b.Lo[1]), int(b.Lo[2])),
+		Max: grid3.XYZ(int(b.Hi[0]), int(b.Hi[1]), int(b.Hi[2])),
 	}
 }
 

@@ -196,7 +196,7 @@ func NewEngine[C any, T Topology[C]](mesh T, blocks func(T, *Set[C, T], *BoxInde
 	}
 	e.relabel = func(i int) { e.owners[i] = e.relabelTo }
 	e.blocks = blocks(mesh, e.faults, e.index)
-	e.publish()
+	e.publish(nil)
 	return e, nil
 }
 
@@ -290,7 +290,8 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.faults.Empty() && onlyAdds(events) {
+	bulk := e.faults.Empty() && onlyAdds(events)
+	if bulk {
 		applied = e.loadLocked(events)
 		e.version += uint64(applied)
 	} else {
@@ -309,7 +310,11 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 	}
 	if applied > 0 {
 		e.metrics.eventsApplied.Add(uint64(applied))
-		e.publish()
+		if bulk {
+			e.publish(e.entries) // every entry is new
+		} else {
+			e.publish(e.added)
+		}
 	}
 	e.metrics.indexVisits.Add(e.index.takeVisits())
 	return applied, e.snap.Load(), nil
@@ -362,7 +367,6 @@ func (e *Engine[C, T]) loadLocked(events []Event[C]) int {
 		e.relabelTo.en = en
 		e.entries = append(e.entries, en)
 		e.bySlot = append(e.bySlot, en)
-		e.added = append(e.added, en)
 		nodes.EachIndex(e.relabel)
 	}
 	e.scr.dropFlood()
@@ -643,8 +647,11 @@ func (e *Engine[C, T]) CheckOwners() error {
 // scratch array it was built in; the arrays they leave go back to the
 // scratch pool.
 //
+// fresh lists the entries the batch inserted: e.added, or every entry
+// after a bulk build.
+//
 //mfplint:owned publish is the one legitimate snapshot writer: it mutates s (and trims entry sets no snapshot holds yet) strictly before e.snap.Store makes them visible, so no reader can observe the writes.
-func (e *Engine[C, T]) publish() {
+func (e *Engine[C, T]) publish(fresh []*entry[C, T]) {
 	for _, p := range e.removedPolys {
 		e.disabled.SubtractWith(p)
 	}
@@ -659,16 +666,16 @@ func (e *Engine[C, T]) publish() {
 	clear(e.removedPolys)
 	e.removedPolys, e.removedBoxes = e.removedPolys[:0], e.removedBoxes[:0]
 
-	// New entries: trim them, size the union's window once to cover them
-	// all (the bulk build adds every polygon here), then OR them in. An
-	// entry listed twice was recycled and reused within the batch, and a
-	// recycled entry not reused has no nodes; both are skipped.
+	// New entries: trim them and size the union's window once to cover
+	// them all (after a bulk build that is every polygon), then OR them in
+	// and mark them published. A recycled entry that was not reused has no
+	// nodes, and one that was is listed twice; the nodes and published
+	// checks skip both.
 	lo, hi := e.disabled.off, e.disabled.off+len(e.disabled.words)
 	if len(e.disabled.words) == 0 {
 		lo, hi = e.disabled.meshWords(), 0
 	}
-	n := 0
-	for _, en := range e.added {
+	for _, en := range fresh {
 		if en.nodes == nil || en.published {
 			continue
 		}
@@ -676,17 +683,17 @@ func (e *Engine[C, T]) publish() {
 		if en.poly != en.nodes {
 			e.scr.recycle(en.poly.trim())
 		}
-		en.published = true
 		lo = min(lo, en.poly.off)
 		hi = max(hi, en.poly.off+len(en.poly.words))
-		e.added[n] = en
-		n++
 	}
 	if hi > lo {
 		e.disabled.grow(lo, hi)
 	}
-	for _, en := range e.added[:n] {
-		e.disabled.UnionWith(en.poly)
+	for _, en := range fresh {
+		if en.nodes != nil && !en.published {
+			e.disabled.UnionWith(en.poly)
+			en.published = true
+		}
 	}
 	clear(e.added)
 	e.added = e.added[:0]

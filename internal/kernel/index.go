@@ -14,18 +14,20 @@ import "math/bits"
 const maxAxes = 3
 
 // maxBuckets bounds a BoxIndex's bucket table: the cell side grows with
-// the mesh so the table stays this small.
+// the mesh so the table stays this small (64² cells in 2-D, 16³ in 3-D for
+// a mesh at least that many nodes wide).
 const maxBuckets = 4096
 
 // Box is an axis-aligned box of mesh positions: Lo[a]..Hi[a], inclusive,
 // on every axis a of the topology. Axes the topology does not have hold
 // 0..0, so one representation serves 2-D and 3-D. A component's box and
 // its polygon's box are the same, since the closure never leaves the
-// component's bounding box.
-type Box struct{ Lo, Hi [maxAxes]int }
+// component's bounding box. Positions are int32 (mesh sides are far
+// below 2³¹) so the index's per-component slot table stays small.
+type Box struct{ Lo, Hi [maxAxes]int32 }
 
 // EmptyBox returns the box containing nothing, the identity of Union.
-func EmptyBox() Box { return Box{Lo: [maxAxes]int{1}} }
+func EmptyBox() Box { return Box{Lo: [maxAxes]int32{1}} }
 
 // Empty reports whether the box contains nothing.
 func (b Box) Empty() bool { return b.Lo[0] > b.Hi[0] }
@@ -34,7 +36,7 @@ func (b Box) Empty() bool { return b.Lo[0] > b.Hi[0] }
 func PointBox[C any, T Topology[C]](t T, c C) Box {
 	var b Box
 	for a := 0; a < t.Axes(); a++ {
-		b.Lo[a] = t.AxisPos(a, c)
+		b.Lo[a] = int32(t.AxisPos(a, c))
 		b.Hi[a] = b.Lo[a]
 	}
 	return b
@@ -88,10 +90,10 @@ func (s *Set[C, T]) Bounds() Box {
 		return b
 	}
 	last := s.topo.Axes() - 1
-	var length [maxAxes]int
+	var length, lo, hi [maxAxes]int
 	for a := 0; a <= last; a++ {
 		length[a] = s.topo.AxisLen(a)
-		b.Lo[a], b.Hi[a] = length[a], -1
+		lo[a], hi[a] = length[a], -1
 	}
 	for k, w := range s.words {
 		for w != 0 {
@@ -100,12 +102,15 @@ func (s *Set[C, T]) Bounds() Box {
 			for a := 0; a < last; a++ {
 				p := q % length[a]
 				q /= length[a]
-				b.Lo[a] = min(b.Lo[a], p)
-				b.Hi[a] = max(b.Hi[a], p)
+				lo[a] = min(lo[a], p)
+				hi[a] = max(hi[a], p)
 			}
-			b.Lo[last] = min(b.Lo[last], q)
-			b.Hi[last] = max(b.Hi[last], q)
+			lo[last] = min(lo[last], q)
+			hi[last] = max(hi[last], q)
 		}
+	}
+	for a := 0; a <= last; a++ {
+		b.Lo[a], b.Hi[a] = int32(lo[a]), int32(hi[a])
 	}
 	return b
 }
@@ -119,10 +124,11 @@ func (s *Set[C, T]) Bounds() Box {
 // the query, not how many boxes the index holds.
 //
 // Callers keep the slot of each box they insert (the engine stores it in
-// its cache entry), so the index needs no key lookup. Bucket lists and
-// the slot table keep their capacity when boxes leave, so steady-state
-// churn allocates nothing. A BoxIndex is not safe for concurrent use; the
-// engine mutates and queries its index only under its lock.
+// its cache entry), so the index needs no key lookup. The bucket table is
+// allocated with the first box, and bucket lists and the slot table keep
+// their capacity when boxes leave, so steady-state churn allocates
+// nothing. A BoxIndex is not safe for concurrent use; the engine mutates
+// and queries its index only under its lock.
 type BoxIndex struct {
 	shift   [maxAxes]uint // cell side along each axis is 1<<shift
 	cells   [maxAxes]int  // cells along each axis (1 on absent axes)
@@ -140,7 +146,6 @@ func NewBoxIndex[C any, T Topology[C]](t T) *BoxIndex {
 		per++
 	}
 	x := &BoxIndex{}
-	total := 1
 	for a := 0; a < maxAxes; a++ {
 		x.cells[a] = 1
 		if a < axes {
@@ -150,10 +155,16 @@ func NewBoxIndex[C any, T Topology[C]](t T) *BoxIndex {
 			}
 			x.cells[a] = (n-1)>>x.shift[a] + 1
 		}
-		total *= x.cells[a]
 	}
-	x.buckets = make([][]int32, total)
 	return x
+}
+
+// table allocates the bucket table on first use, so an engine that never
+// holds a fault never pays for it.
+func (x *BoxIndex) table() {
+	if x.buckets == nil {
+		x.buckets = make([][]int32, x.cells[0]*x.cells[1]*x.cells[2])
+	}
 }
 
 // pow returns b**e for small non-negative exponents.
@@ -168,8 +179,8 @@ func pow(b, e int) int {
 // cellRange returns the cell range [lo, hi] a box covers on each axis.
 func (x *BoxIndex) cellRange(b Box) (lo, hi [maxAxes]int) {
 	for a := range lo {
-		lo[a] = b.Lo[a] >> x.shift[a]
-		hi[a] = b.Hi[a] >> x.shift[a]
+		lo[a] = int(b.Lo[a]) >> x.shift[a]
+		hi[a] = int(b.Hi[a]) >> x.shift[a]
 	}
 	return lo, hi
 }
@@ -196,6 +207,7 @@ func (x *BoxIndex) Insert(b Box) int32 {
 		slot = int32(len(x.boxes))
 		x.boxes = append(x.boxes, b)
 	}
+	x.table()
 	lo, hi := x.cellRange(b)
 	for c2 := lo[2]; c2 <= hi[2]; c2++ {
 		for c1 := lo[1]; c1 <= hi[1]; c1++ {
@@ -239,28 +251,36 @@ func (x *BoxIndex) Remove(slot int32) {
 func (x *BoxIndex) Load(boxes []Box) {
 	x.boxes = boxes
 	x.free = x.free[:0]
-	counts := make([]int32, len(x.buckets)+1)
-	x.eachCell(func(k int, _ int32) { counts[k+1]++ })
-	for k := 1; k < len(counts); k++ {
-		counts[k] += counts[k-1]
-	}
-	members := make([]int32, counts[len(counts)-1])
-	for k := range x.buckets {
-		start := counts[k]
-		x.buckets[k] = members[start:start:counts[k+1]]
-	}
-	x.eachCell(func(k int, slot int32) { x.buckets[k] = append(x.buckets[k], slot) })
-}
-
-// eachCell calls fn with every (bucket, slot) pair of the stored boxes.
-// Only the bulk Load uses it, once per pass.
-func (x *BoxIndex) eachCell(fn func(k int, slot int32)) {
-	for slot, b := range x.boxes {
+	x.table()
+	ends := make([]int32, len(x.buckets))
+	for _, b := range boxes {
 		lo, hi := x.cellRange(b)
 		for c2 := lo[2]; c2 <= hi[2]; c2++ {
 			for c1 := lo[1]; c1 <= hi[1]; c1++ {
 				for c0 := lo[0]; c0 <= hi[0]; c0++ {
-					fn(x.bucket(c0, c1, c2), int32(slot))
+					ends[x.bucket(c0, c1, c2)]++
+				}
+			}
+		}
+	}
+	total := int32(0)
+	for k, n := range ends {
+		total += n
+		ends[k] = total
+	}
+	members := make([]int32, total)
+	start := int32(0)
+	for k, end := range ends {
+		x.buckets[k] = members[start:start:end]
+		start = end
+	}
+	for slot, b := range boxes {
+		lo, hi := x.cellRange(b)
+		for c2 := lo[2]; c2 <= hi[2]; c2++ {
+			for c1 := lo[1]; c1 <= hi[1]; c1++ {
+				for c0 := lo[0]; c0 <= hi[0]; c0++ {
+					k := x.bucket(c0, c1, c2)
+					x.buckets[k] = append(x.buckets[k], int32(slot))
 				}
 			}
 		}
@@ -272,7 +292,7 @@ func (x *BoxIndex) eachCell(fn func(k int, slot int32)) {
 // visited buckets is reported only from the bucket holding the first
 // node it shares with q, so no visited-set is needed.
 func (x *BoxIndex) Query(q Box, out []int32) []int32 {
-	if q.Empty() {
+	if q.Empty() || x.buckets == nil {
 		return out
 	}
 	lo, hi := x.cellRange(q)
@@ -284,9 +304,9 @@ func (x *BoxIndex) Query(q Box, out []int32) []int32 {
 				for _, slot := range list {
 					b := &x.boxes[slot]
 					if !b.Overlaps(q) ||
-						max(b.Lo[0], q.Lo[0])>>x.shift[0] != c0 ||
-						max(b.Lo[1], q.Lo[1])>>x.shift[1] != c1 ||
-						max(b.Lo[2], q.Lo[2])>>x.shift[2] != c2 {
+						int(max(b.Lo[0], q.Lo[0]))>>x.shift[0] != c0 ||
+						int(max(b.Lo[1], q.Lo[1]))>>x.shift[1] != c1 ||
+						int(max(b.Lo[2], q.Lo[2]))>>x.shift[2] != c2 {
 						continue
 					}
 					out = append(out, slot)

@@ -15,8 +15,8 @@ func randomBox[C any, T kernel.Topology[C]](rng *rand.Rand, m T, span int) kerne
 	var b kernel.Box
 	for a := 0; a < m.Axes(); a++ {
 		n := m.AxisLen(a)
-		b.Lo[a] = rng.Intn(n)
-		b.Hi[a] = min(n-1, b.Lo[a]+rng.Intn(span))
+		lo := rng.Intn(n)
+		b.Lo[a], b.Hi[a] = int32(lo), int32(min(n-1, lo+rng.Intn(span)))
 	}
 	return b
 }
