@@ -91,8 +91,8 @@ func (s *scheme1) propagate(queue []grid.Coord) {
 }
 
 // Grow incorporates a new fault into the scheme-1 fixpoint. The touched
-// components' boxes are not needed — the fixpoint is defined on the fault set
-// alone. When the fault lands on an already-unsafe node (inside an
+// components' boxes are not needed — the fixpoint is defined on the fault
+// set alone. When the fault lands on an already-unsafe node (inside an
 // existing block) nothing else can change; otherwise the change propagates
 // outward from the fault.
 func (s *scheme1) Grow(c grid.Coord, _ []kernel.Box, _ kernel.Box) {

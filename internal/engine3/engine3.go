@@ -144,11 +144,9 @@ func newCuboids(m grid3.Mesh, _ *nodeset3.Set, index *kernel.BoxIndex) kernel.Bl
 	}
 }
 
-// cuboid converts a kernel box over the 3-D mesh's axes to a grid3.Box.
+// cuboid converts a kernel box over the 3-D mesh's axes to a grid3.Box
+// (an empty box stays empty).
 func cuboid(b kernel.Box) grid3.Box {
-	if b.Empty() {
-		return grid3.EmptyBox()
-	}
 	return grid3.Box{
 		Min: grid3.XYZ(int(b.Lo[0]), int(b.Lo[1]), int(b.Lo[2])),
 		Max: grid3.XYZ(int(b.Hi[0]), int(b.Hi[1]), int(b.Hi[2])),
