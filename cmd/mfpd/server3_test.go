@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine3"
 	"repro/internal/grid"
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/mfp3d"
 	"repro/internal/nodeset3"
 	"repro/internal/shard"
@@ -58,7 +59,7 @@ func TestMesh3DEndToEnd(t *testing.T) {
 		{Op: engine3.Add, Node: grid3.XYZ(5, 5, 5)},
 		{Op: engine3.Add, Node: grid3.XYZ(3, 3, 3)},
 	}
-	engine3.Replay(faults, events...)
+	kernel.Replay(faults, events...)
 	body, err := json.Marshal(events)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine3"
 	"repro/internal/experiments"
@@ -97,7 +96,7 @@ const benchPasses = 2
 // recomputes every derived speedup from the merged times. Contention only
 // ever slows a measurement down, so per-record minimum over well-spaced
 // passes estimates what the code costs, not what the machine was doing.
-func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, sweep []experiments.ChurnConfig, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
+func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
 	var best *benchfmt.Report
 	for p := 0; p < benchPasses; p++ {
 		rep, err := runBenchSweep(models, figures, cfg, churn, churn3s, sweep, route, iterations, maxWorkers)
@@ -169,7 +168,7 @@ func recomputeStrategySpeedups(rep *benchfmt.Report) {
 // and returns the report with speedups filled in.
 // maxWorkers caps the timed pool sizes (the -workers flag); zero means up
 // to one worker per CPU.
-func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.ChurnConfig, churn3s []experiments.Churn3Config, sweep []experiments.ChurnConfig, route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
+func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
 	if iterations < 1 {
 		iterations = 1
 	}
@@ -270,7 +269,7 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	// the fsync on the acknowledgement path (one coalesced batch logged
 	// before the reply), compact is the snapshot rewrite that bounds the
 	// log, and recover is the startup path — decode every surviving record
-	// and replay it through engine.Replay with the same version check the
+	// and replay it through kernel.Replay with the same version check the
 	// shard's own recovery performs. All three are run-goroutine-serial in
 	// the shard, so they are timed at one worker; the names encode the
 	// fixture scale for -bench-compare.
@@ -283,64 +282,16 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 
 	rep.ComputeSpeedups()
 
-	// The churn workload compares replay strategies, not pool sizes, so
-	// its two records share the workload name with a strategy suffix and
-	// carry a hand-filled speedup (rebuild time over incremental time).
-	// They are added after ComputeSpeedups, which only knows worker-count
-	// baselines and would reset the field.
-	rebuildSecs, rebuildIters := timeIt(iterations, func() { experiments.ChurnRebuild(churn) })
-	var churnErr error
-	incSecs, incIters := timeIt(iterations, func() {
-		if _, err := experiments.ChurnIncremental(churn); err != nil {
-			churnErr = err
-		}
-	})
-	if churnErr != nil {
-		return nil, churnErr
+	// The churn workloads compare replay strategies, not pool sizes, so
+	// they are added after ComputeSpeedups, which only knows worker-count
+	// baselines and would reset their hand-filled speedups.
+	if err := churnRecords(rep, churn, iterations); err != nil {
+		return nil, err
 	}
-	rep.Add(benchfmt.Record{
-		Name: churn.Name() + "/rebuild", Workers: 1,
-		Iterations: rebuildIters, Seconds: rebuildSecs,
-	})
-	rep.Add(benchfmt.Record{
-		Name: churn.Name() + "/incremental", Workers: 1,
-		Iterations: incIters, Seconds: incSecs,
-		Speedup: rebuildSecs / incSecs,
-	})
-
-	// The 3-D churn workloads: the same rebuild-vs-incremental pair at each
-	// benchmarked scale, timing the incremental cuboid block model's
-	// polytope and unsafe-set maintenance against a batch mfp3d.Build per
-	// event. Past 64³ the rebuild arm is infeasible (minutes per replay —
-	// the regime the incremental engine exists for), so those scales record
-	// the incremental time alone, with no speedup.
-	for _, churn3 := range churn3s {
-		if churn3.RebuildFeasible() {
-			rebuild3Secs, rebuild3Iters := timeIt(iterations, func() { experiments.Churn3Rebuild(churn3) })
-			rep.Add(benchfmt.Record{
-				Name: churn3.Name() + "/rebuild", Workers: 1,
-				Iterations: rebuild3Iters, Seconds: rebuild3Secs,
-			})
+	for _, c := range churn3s {
+		if err := churnRecords(rep, c, iterations); err != nil {
+			return nil, err
 		}
-		var churn3Err error
-		inc3Secs, inc3Iters := timeIt(iterations, func() {
-			if _, err := experiments.Churn3Incremental(churn3); err != nil {
-				churn3Err = err
-			}
-		})
-		if churn3Err != nil {
-			return nil, churn3Err
-		}
-		inc := benchfmt.Record{
-			Name: churn3.Name() + "/incremental", Workers: 1,
-			Iterations: inc3Iters, Seconds: inc3Secs,
-		}
-		for _, rec := range rep.Records {
-			if rec.Name == churn3.Name()+"/rebuild" {
-				inc.Speedup = rec.Seconds / inc3Secs
-			}
-		}
-		rep.Add(inc)
 	}
 
 	for _, c := range sweep {
@@ -352,16 +303,44 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	if err := componentSweepRecords(rep, iterations); err != nil {
 		return nil, err
 	}
-	if err := engineAllocsRecord(rep); err != nil {
-		return nil, err
-	}
-	if err := engine3AllocsRecord(rep); err != nil {
+	if err := engineAllocsRecords(rep); err != nil {
 		return nil, err
 	}
 	if err := engineBytesRecord(rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// churnRecords times the churn scenario's two replay strategies, the
+// incremental engine and a from-scratch construction per event (the
+// latter only where RebuildFeasible), and adds one record per strategy
+// under the scenario's name with a strategy suffix. The incremental
+// record carries the rebuild-over-incremental speedup; an incremental-only
+// record (the rebuild is infeasible at that scale, the regime the engine
+// exists for) has none.
+func churnRecords[C any, T kernel.Topology[C]](rep *benchfmt.Report, c experiments.Churn[C, T], iterations int) error {
+	rebuildSecs := 0.0
+	if c.RebuildFeasible() {
+		var iters int
+		rebuildSecs, iters = timeIt(iterations, func() { c.Rebuild() })
+		rep.Add(benchfmt.Record{Name: c.Name() + "/rebuild", Workers: 1, Iterations: iters, Seconds: rebuildSecs})
+	}
+	var runErr error
+	secs, iters := timeIt(iterations, func() {
+		if _, err := c.Incremental(); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		return runErr
+	}
+	inc := benchfmt.Record{Name: c.Name() + "/incremental", Workers: 1, Iterations: iters, Seconds: secs}
+	if rebuildSecs > 0 {
+		inc.Speedup = rebuildSecs / secs
+	}
+	rep.Add(inc)
+	return nil
 }
 
 // churnPerEventRecord times the 2-D engine's per-event cost on one mesh
@@ -371,25 +350,17 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 // reverse order, which restores the warm-up state so every timed run
 // starts from the same engine. The record is wall-clock seconds per
 // event.
-func churnPerEventRecord(rep *benchfmt.Report, c experiments.ChurnConfig, iterations int) error {
+func churnPerEventRecord(rep *benchfmt.Report, c experiments.Churn[grid.Coord, grid.Mesh], iterations int) error {
 	seq := c.Sequence()
 	warm, churn := seq[:c.Faults], seq[c.Faults:]
-	e, err := engine.New(grid.New(c.MeshSize, c.MeshSize))
+	e, err := c.NewEngine()
 	if err != nil {
 		return err
 	}
 	if _, _, err := e.Apply(warm); err != nil {
 		return err
 	}
-	round := make([]engine.Event, 0, 2*len(churn))
-	round = append(round, churn...)
-	for i := len(churn) - 1; i >= 0; i-- {
-		inv := engine.Event{Op: engine.Add, Node: churn[i].Node}
-		if churn[i].Op == engine.Add {
-			inv.Op = engine.Clear
-		}
-		round = append(round, inv)
-	}
+	round := appendInverse(append([]engine.Event(nil), churn...))
 	var runErr error
 	secs, iters := timeIt(iterations, func() {
 		for i := range round {
@@ -405,10 +376,23 @@ func churnPerEventRecord(rep *benchfmt.Report, c experiments.ChurnConfig, iterat
 		return fmt.Errorf("churn sweep %s: inverse replay left %d faults, want %d", c.Name(), e.Snapshot().Faults().Len(), c.Faults)
 	}
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.MeshSize, c.Faults, c.Events, c.BaseSeed),
+		Name:    fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.Mesh.W, c.Faults, c.Events, c.BaseSeed),
 		Workers: 1, Iterations: iters, Seconds: secs / float64(len(round)),
 	})
 	return nil
+}
+
+// appendInverse appends the inverse of every event of round, in reverse
+// order: replaying the result leaves a fault set as it found it.
+func appendInverse[C any](round []kernel.Event[C]) []kernel.Event[C] {
+	for i := len(round) - 1; i >= 0; i-- {
+		inv := kernel.Event[C]{Op: kernel.Add, Node: round[i].Node}
+		if round[i].Op == kernel.Add {
+			inv.Op = kernel.Clear
+		}
+		round = append(round, inv)
+	}
+	return round
 }
 
 // componentSweepFaults are the fault counts of the component-count sweep.
@@ -460,16 +444,12 @@ func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
 // inverse, so every timed run starts from the same state. It adds the
 // per-event seconds and the per-event index visits of one untimed run.
 func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, name, dim string, e *kernel.Engine[C, T], base []C, iterations int) error {
-	load := make([]kernel.Event[C], len(base))
-	for i, c := range base {
-		load[i] = kernel.Event[C]{Op: kernel.Add, Node: c}
-	}
-	if _, _, err := e.Apply(load); err != nil {
-		return err
-	}
 	const events, batch = 256, 4
 	mesh := e.Mesh()
 	faulty := kernel.SetOf(mesh, base...)
+	if _, err := e.Load(faulty); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(1))
 	var added, neigh []C
 	round := make([]kernel.Event[C], 0, 2*events)
@@ -489,13 +469,7 @@ func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, nam
 			round = append(round, kernel.Event[C]{Op: kernel.Add, Node: c})
 		}
 	}
-	for i := events - 1; i >= 0; i-- {
-		inv := kernel.Event[C]{Op: kernel.Add, Node: round[i].Node}
-		if round[i].Op == kernel.Add {
-			inv.Op = kernel.Clear
-		}
-		round = append(round, inv)
-	}
+	round = appendInverse(round)
 	var runErr error
 	run := func() {
 		for i := 0; i < len(round); i += batch {
@@ -559,92 +533,56 @@ func engineBytesRecord(rep *benchfmt.Report) error {
 	return nil
 }
 
-// engine3AllocsRecord is the 3-D twin of engineAllocsRecord: the
-// incremental cuboid block model must patch its persistent unsafe set
-// without per-event allocations, so the steady-state rate of the 3-D apply
-// path is recorded (and gated by -bench-compare) as the same
-// machine-independent "allocs/event" counter.
-func engine3AllocsRecord(rep *benchfmt.Report) error {
-	m := grid3.New(20, 20, 20)
-	e, err := engine3.New(m)
+// engineAllocsRecords counts the incremental engines' steady-state
+// allocation rate on a coalesced churn batch, in 2-D (100² mesh, "engine"
+// record) and 3-D (20³ mesh, "engine3" record), and records each as a
+// machine-independent counter (unit "allocs/event"). This is the zero-alloc
+// claim of the scratch-set kernel plumbing as a gated number: per-event
+// work must stay allocation-free, leaving only the per-publish snapshot
+// freeze, so the rate sits far below one and -bench-compare fails if a
+// kernel change starts allocating per event again. The 3-D record also
+// covers the incremental cuboid block model, which must patch its
+// persistent unsafe set without allocating.
+func engineAllocsRecords(rep *benchfmt.Report) error {
+	m2 := grid.New(100, 100)
+	e2, err := engine.New(m2)
 	if err != nil {
 		return err
 	}
-	faults := mfp3d.ClusteredFaults(m, 100, 1)
-	faults.Each(func(c grid3.Coord) { e.AddFault(c) })
-
-	// Add/clear pairs confined to a cluster, avoiding the base faults, the
-	// same regime internal/engine3's TestApplyBatchAllocsPerEvent pins.
-	rng := rand.New(rand.NewSource(7))
-	const pairs = 128
-	events := make([]engine3.Event, 0, 2*pairs)
-	for len(events) < 2*pairs {
-		c := grid3.XYZ(8+rng.Intn(6), 8+rng.Intn(6), 8+rng.Intn(6))
-		if faults.Has(c) {
-			continue
-		}
-		events = append(events,
-			engine3.Event{Op: engine3.Add, Node: c},
-			engine3.Event{Op: engine3.Clear, Node: c},
-		)
-	}
-	apply := func() error {
-		_, _, err := e.Apply(events)
+	if err := allocsRecord(rep, "engine", e2, fault.NewInjector(m2, fault.Clustered, 1).Inject(100), 40, 16); err != nil {
 		return err
 	}
-	for i := 0; i < 4; i++ {
-		if err := apply(); err != nil {
-			return err
-		}
+	m3 := grid3.New(20, 20, 20)
+	e3, err := engine3.New(m3)
+	if err != nil {
+		return err
 	}
-	const rounds = 50
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
-	for i := 0; i < rounds; i++ {
-		if err := apply(); err != nil {
-			return err
-		}
-	}
-	runtime.ReadMemStats(&ms)
-	perEvent := float64(ms.Mallocs-before) / float64(rounds*len(events))
-	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("engine3/apply/mesh%d/faults100/events%d/seed7/allocs", m.W, len(events)),
-		Workers: 1, Iterations: rounds, Seconds: perEvent, Unit: "allocs/event",
-	})
-	return nil
+	return allocsRecord(rep, "engine3", e3, mfp3d.ClusteredFaults(m3, 100, 1), 8, 6)
 }
 
-// engineAllocsRecord counts the incremental engine's steady-state
-// allocation rate on a coalesced churn batch and records it as a
-// machine-independent counter (unit "allocs/event"). This is the
-// zero-alloc claim of the scratch-set kernel plumbing as a gated number:
-// per-event work must stay allocation-free, leaving only the per-publish
-// snapshot freeze, so the rate sits far below one and -bench-compare
-// fails if a kernel change starts allocating per event again.
-func engineAllocsRecord(rep *benchfmt.Report) error {
-	m := grid.New(100, 100)
-	e, err := engine.New(m)
-	if err != nil {
-		return err
-	}
-	faults := fault.NewInjector(m, fault.Clustered, 1).Inject(100)
-	faults.Each(func(c grid.Coord) { e.AddFault(c) })
-
-	// Add/clear pairs confined to a cluster, avoiding the base faults, so
-	// every run of the batch returns the engine to its starting state —
-	// the same regime internal/engine's TestApplyBatchAllocsPerEvent pins.
+// allocsRecord adds faults to the empty engine e one at a time, then
+// counts the allocations of a batch of add/clear pairs on the cube of side
+// span at position lo on every axis, avoiding the base faults, so every
+// run of the batch returns the engine to its starting state — the regime
+// the engine packages' TestApplyBatchAllocsPerEvent pins.
+func allocsRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, prefix string, e *kernel.Engine[C, T], faults *kernel.Set[C, T], lo, span int) error {
+	faults.Each(func(c C) { e.AddFault(c) })
+	m := e.Mesh()
 	rng := rand.New(rand.NewSource(7))
 	const pairs = 128
-	events := make([]engine.Event, 0, 2*pairs)
+	events := make([]kernel.Event[C], 0, 2*pairs)
+	pos := make([]int, m.Axes())
 	for len(events) < 2*pairs {
-		c := grid.XY(40+rng.Intn(16), 40+rng.Intn(16))
+		for a := range pos {
+			pos[a] = lo + rng.Intn(span)
+		}
+		c := m.AtAxes(pos)
 		if faults.Has(c) {
 			continue
 		}
 		events = append(events,
-			engine.Event{Op: engine.Add, Node: c},
-			engine.Event{Op: engine.Clear, Node: c},
+			kernel.Event[C]{Op: kernel.Add, Node: c},
+			kernel.Event[C]{Op: kernel.Clear, Node: c},
 		)
 	}
 	apply := func() error {
@@ -669,7 +607,7 @@ func engineAllocsRecord(rep *benchfmt.Report) error {
 	runtime.ReadMemStats(&ms)
 	perEvent := float64(ms.Mallocs-before) / float64(rounds*len(events))
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("engine/apply/mesh%d/faults100/events%d/seed7/allocs", m.W, len(events)),
+		Name:    fmt.Sprintf("%s/apply/mesh%d/faults%d/events%d/seed7/allocs", prefix, m.AxisLen(0), faults.Len(), len(events)),
 		Workers: 1, Iterations: rounds, Seconds: perEvent, Unit: "allocs/event",
 	})
 	return nil
@@ -773,7 +711,7 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		var inc int
 		for inc == 0 {
 			b = randBatch(recoverEvents)
-			inc = engine.Replay(tracking, b...)
+			inc = kernel.Replay(tracking, b...)
 		}
 		recVersion += uint64(inc)
 		if err := recoverLog.Append(recVersion, b); err != nil {
@@ -792,7 +730,7 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		replayed := nodeset.New(m)
 		v := rec.Version
 		for _, b := range rec.Batches {
-			v += uint64(engine.Replay(replayed, b.Events...))
+			v += uint64(kernel.Replay(replayed, b.Events...))
 			if v != b.Version {
 				walErr = fmt.Errorf("wal recover benchmark: version diverged at record %d", b.Version)
 			}
@@ -844,98 +782,52 @@ func restartBenchRecords(rep *benchfmt.Report, iterations int) error {
 	return nil
 }
 
-// runChurn3Report is the human-readable -churn3d mode: it times both
-// replay strategies of the 3-D scenario once, differentially checks that
-// they land on the same state, and prints the speedup. At scales where a
-// per-event rebuild is infeasible (past 64³) the rebuild arm is skipped
-// and the incremental result is checked against one final batch build.
-func runChurn3Report(w io.Writer, cfg experiments.Churn3Config) error {
-	seq := cfg.Sequence()
-	var full *mfp3d.Result
-	rebuildSecs := 0.0
-	if cfg.RebuildFeasible() {
-		rebuildSecs, _ = timeIt(1, func() { full = experiments.Churn3Rebuild(cfg) })
+// runChurnReport is the human-readable -churn and -churn3d mode: it times
+// both replay strategies of the scenario once, differentially checks that
+// they land on the same state, and prints the speedup. The timed closures
+// capture their last results, so the check reuses them instead of
+// replaying the scenario a second time. Where a per-event rebuild is
+// infeasible the rebuild arm is skipped and the incremental result is
+// checked against one final batch build.
+func runChurnReport[C any, T kernel.Topology[C]](w io.Writer, c experiments.Churn[C, T]) error {
+	if c.Faults > c.Mesh.Size() {
+		return fmt.Errorf("-faults %d exceeds the %v", c.Faults, c.Mesh)
 	}
-	var snap *engine3.Snapshot
+	seq := c.Sequence()
+	feasible := c.RebuildFeasible()
+	var ref kernel.Reference[C, T]
+	rebuildSecs := 0.0
+	if feasible {
+		rebuildSecs, _ = timeIt(1, func() { ref = c.Rebuild() })
+	}
+	var snap *kernel.Snapshot[C, T]
 	var incErr error
-	incSecs, _ := timeIt(1, func() { snap, incErr = experiments.Churn3Incremental(cfg) })
+	incSecs, _ := timeIt(1, func() { snap, incErr = c.Incremental() })
 	if incErr != nil {
 		return incErr
 	}
-	if full == nil {
-		full = experiments.Churn3BatchBuild(cfg)
+	if !feasible {
+		ref = c.BatchBuild()
 	}
-
-	if err := experiments.Churn3Diff(snap, full); err != nil {
-		return err
+	kind, _, _ := strings.Cut(c.Name(), "/")
+	if err := snap.Verify(ref); err != nil {
+		return fmt.Errorf("%s differential check failed: %w", kind, err)
 	}
 
 	perEvent := incSecs / float64(len(seq))
-	fmt.Fprintf(w, "churn3d scenario %s (%d events incl. warm-up)\n", cfg.Name(), len(seq))
-	if cfg.RebuildFeasible() {
+	fmt.Fprintf(w, "%s scenario %s (%d events incl. warm-up)\n", kind, c.Name(), len(seq))
+	if feasible {
 		fmt.Fprintf(w, "  full rebuild per event: %10.4fs total\n", rebuildSecs)
 	} else {
-		fmt.Fprintf(w, "  full rebuild per event: skipped (infeasible at %d³; verified against one batch build)\n", cfg.MeshSize)
+		fmt.Fprintf(w, "  full rebuild per event: skipped (infeasible at %d%s; verified against one batch build)\n",
+			c.Mesh.AxisLen(0), [...]string{2: "²", 3: "³"}[c.Mesh.Axes()])
 	}
 	fmt.Fprintf(w, "  incremental engine:     %10.4fs total  (%.1fµs/event)\n", incSecs, perEvent*1e6)
-	if cfg.RebuildFeasible() {
+	if feasible {
 		fmt.Fprintf(w, "  speedup:                %9.1fx\n", rebuildSecs/incSecs)
 	}
 	fmt.Fprintf(w, "  differential check:     OK (final states identical)\n")
 	return nil
-}
-
-// runChurnReport is the human-readable -churn mode: it times both replay
-// strategies of the scenario once, differentially checks that they land on
-// the same state, and prints the speedup. The timed closures capture their
-// last results, so the differential check reuses them instead of replaying
-// the scenario a second time.
-func runChurnReport(w io.Writer, cfg experiments.ChurnConfig) error {
-	seq := cfg.Sequence()
-	var full *core.Construction
-	rebuildSecs, _ := timeIt(1, func() { full = experiments.ChurnRebuild(cfg) })
-	var snap *engine.Snapshot
-	var incErr error
-	incSecs, _ := timeIt(1, func() { snap, incErr = experiments.ChurnIncremental(cfg) })
-	if incErr != nil {
-		return incErr
-	}
-
-	if err := churnDiff(snap, full); err != nil {
-		return err
-	}
-
-	perEvent := incSecs / float64(len(seq))
-	fmt.Fprintf(w, "churn scenario %s (%d events incl. warm-up)\n", cfg.Name(), len(seq))
-	fmt.Fprintf(w, "  full rebuild per event: %10.4fs total\n", rebuildSecs)
-	fmt.Fprintf(w, "  incremental engine:     %10.4fs total  (%.1fµs/event)\n", incSecs, perEvent*1e6)
-	fmt.Fprintf(w, "  speedup:                %9.1fx\n", rebuildSecs/incSecs)
-	fmt.Fprintf(w, "  differential check:     OK (final states identical)\n")
-	return nil
-}
-
-// churnDiff asserts the incremental snapshot and the from-scratch
-// construction describe the same state: fault set, every polygon, the
-// disabled union and the scheme-1 unsafe set (the sets every per-node
-// status is derived from), plus the snapshot's own invariants.
-func churnDiff(snap *engine.Snapshot, full *core.Construction) error {
-	switch {
-	case !snap.Faults().Equal(full.Faults):
-		return fmt.Errorf("churn differential check failed: fault sets diverge")
-	case len(snap.Polygons()) != len(full.Minimum.Polygons):
-		return fmt.Errorf("churn differential check failed: %d polygons vs %d rebuilt",
-			len(snap.Polygons()), len(full.Minimum.Polygons))
-	case !snap.Disabled().Equal(full.Minimum.Disabled):
-		return fmt.Errorf("churn differential check failed: disabled sets diverge")
-	case !snap.Unsafe().Equal(full.Blocks.Unsafe):
-		return fmt.Errorf("churn differential check failed: unsafe sets diverge")
-	}
-	for i, p := range snap.Polygons() {
-		if !p.Equal(full.Minimum.Polygons[i]) {
-			return fmt.Errorf("churn differential check failed: polygon %d diverges", i)
-		}
-	}
-	return snap.Validate()
 }
 
 // faultsLabel renders the swept fault counts compactly but exactly: the
@@ -998,7 +890,11 @@ func compareBenchReport(baselinePath string, current *benchfmt.Report, tolerance
 func routeServeFixture(route experiments.RouteConfig, faultCount int) (*engine.Snapshot, []routing.Query) {
 	m := grid.New(route.MeshSize, route.MeshSize)
 	faults := fault.InjectWithMargin(m, fault.Clustered, 1, faultCount, route.Margin)
-	snap, err := engine.SnapshotOf(m, faults)
+	e, err := engine.New(m)
+	if err != nil {
+		panic(fmt.Sprintf("mfpsim: route fixture: %v", err))
+	}
+	snap, err := e.Load(faults)
 	if err != nil {
 		panic(fmt.Sprintf("mfpsim: route fixture: %v", err))
 	}

@@ -10,6 +10,8 @@ import (
 	"repro/internal/benchfmt"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/grid"
+	"repro/internal/grid3"
 )
 
 func TestBenchWorkerCounts(t *testing.T) {
@@ -45,13 +47,13 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		Trials:      2,
 		BaseSeed:    5,
 	}
-	churn := experiments.ChurnConfig{MeshSize: 20, Faults: 6, Events: 20, BaseSeed: 5}
+	churn := experiments.Churn2D(20, 6, 20, 5)
 	churn3 := testChurn3Config()
 	churn3Big := testChurn3InfeasibleConfig()
 	route := testRouteConfig()
-	sweep := []experiments.ChurnConfig{churn, {MeshSize: 70, Faults: 6, Events: 20, BaseSeed: 5}}
+	sweep := []experiments.Churn[grid.Coord, grid.Mesh]{churn, experiments.Churn2D(70, 6, 20, 5)}
 	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn3Config{churn3, churn3Big}, sweep, route, 1, 0)
+		[]experiments.Churn[grid3.Coord, grid3.Mesh]{churn3, churn3Big}, sweep, route, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +105,8 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 			}
 		}
 		for _, c := range sweep {
-			if rec.Name == fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.MeshSize, c.Faults, c.Events, c.BaseSeed) {
-				sawPerEvent[c.MeshSize] = true
+			if rec.Name == fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.Mesh.W, c.Faults, c.Events, c.BaseSeed) {
+				sawPerEvent[c.Mesh.W] = true
 			}
 		}
 		if strings.HasPrefix(rec.Name, "engine/heap/") {
@@ -214,14 +216,14 @@ func TestRecomputeStrategySpeedups(t *testing.T) {
 }
 
 // testChurn3Config is a tiny, fast 3-D churn scale for bench tests.
-func testChurn3Config() experiments.Churn3Config {
-	return experiments.Churn3Config{MeshSize: 8, Faults: 6, Events: 16, BaseSeed: 5}
+func testChurn3Config() experiments.Churn[grid3.Coord, grid3.Mesh] {
+	return experiments.Churn3D(8, 6, 16, 5)
 }
 
 // testChurn3InfeasibleConfig is the smallest scale past the rebuild
 // feasibility bound: the sweep must time its incremental arm alone.
-func testChurn3InfeasibleConfig() experiments.Churn3Config {
-	return experiments.Churn3Config{MeshSize: 65, Faults: 6, Events: 8, BaseSeed: 5}
+func testChurn3InfeasibleConfig() experiments.Churn[grid3.Coord, grid3.Mesh] {
+	return experiments.Churn3D(65, 6, 8, 5)
 }
 
 // testRouteConfig is a tiny, fast route scale for bench tests.
@@ -268,9 +270,9 @@ func TestTimeItCalibrates(t *testing.T) {
 
 func TestRunBenchSweepRejectsUnknownFigure(t *testing.T) {
 	cfg := experiments.Config{MeshSize: 10, FaultCounts: []int{5}, Trials: 1, BaseSeed: 1}
-	churn := experiments.ChurnConfig{MeshSize: 10, Faults: 2, Events: 4, BaseSeed: 1}
+	churn := experiments.Churn2D(10, 2, 4, 1)
 	if _, err := runBenchSweep([]fault.Model{fault.Random}, []int{12}, cfg, churn,
-		[]experiments.Churn3Config{testChurn3Config()}, nil, testRouteConfig(), 1, 0); err == nil {
+		[]experiments.Churn[grid3.Coord, grid3.Mesh]{testChurn3Config()}, nil, testRouteConfig(), 1, 0); err == nil {
 		t.Fatal("figure 12 should be rejected")
 	}
 }
@@ -278,9 +280,9 @@ func TestRunBenchSweepRejectsUnknownFigure(t *testing.T) {
 // The -workers flag caps the timed pool sizes in -bench-json mode.
 func TestRunBenchSweepHonorsWorkersCap(t *testing.T) {
 	cfg := experiments.Config{MeshSize: 15, FaultCounts: []int{5}, Trials: 1, BaseSeed: 3}
-	churn := experiments.ChurnConfig{MeshSize: 15, Faults: 2, Events: 4, BaseSeed: 3}
+	churn := experiments.Churn2D(15, 2, 4, 3)
 	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn3Config{testChurn3Config()}, nil, testRouteConfig(), 1, 2)
+		[]experiments.Churn[grid3.Coord, grid3.Mesh]{testChurn3Config()}, nil, testRouteConfig(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestCompareBenchReportMissingBaseline(t *testing.T) {
 
 func TestRunChurnReport(t *testing.T) {
 	var buf strings.Builder
-	cfg := experiments.ChurnConfig{MeshSize: 24, Faults: 8, Events: 30, BaseSeed: 4}
+	cfg := experiments.Churn2D(24, 8, 30, 4)
 	if err := runChurnReport(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestRunChurnReport(t *testing.T) {
 func TestRunChurn3Report(t *testing.T) {
 	var buf strings.Builder
 	cfg := testChurn3Config()
-	if err := runChurn3Report(&buf, cfg); err != nil {
+	if err := runChurnReport(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -332,7 +334,7 @@ func TestRunChurn3Report(t *testing.T) {
 func TestRunChurn3ReportInfeasibleRebuild(t *testing.T) {
 	var buf strings.Builder
 	cfg := testChurn3InfeasibleConfig()
-	if err := runChurn3Report(&buf, cfg); err != nil {
+	if err := runChurnReport(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

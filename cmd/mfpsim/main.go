@@ -37,19 +37,17 @@
 // incremental engine and through a from-scratch core.Construct per event,
 // differentially checked and reported with the speedup.
 //
-// -churn3d N is the 3-D twin: the 3-D churn scenario (steady-state fault
-// count from the first -faults entry) replayed through internal/engine3
-// and through a from-scratch mfp3d.Build per event, differentially checked
-// (polytopes, disabled union, cuboid unsafe set) and reported with the
-// speedup. -churn3d-size selects the scale (12 is the historical default;
+// -churn3d N is the same scenario on a 3-D mesh (steady-state fault count
+// from the first -faults entry), replayed through internal/engine3 and
+// through a from-scratch mfp3d.Build per event, with the same check and
+// report. -churn3d-size selects the scale (12 is the historical default;
 // 64 and 128 are the benchmarked scales of the incremental cuboid block
-// model) and -churn3d-events the event count; either flag enters the mode
-// on its own with the scale's benchmark defaults. Past 64³ a per-event
+// model) and enters the mode on its own with the scale's benchmark
+// defaults. On meshes past 64³ nodes, in either dimension, a per-event
 // rebuild is infeasible — that regime is the engine's reason to exist — so
 // the report skips the rebuild timing and checks the incremental result
-// against one final batch build instead. Both scenarios also land in
-// -bench-json as the churn/* and churn3d/* records (12³, 64³ and the
-// incremental-only 128³).
+// against one final batch build instead. Both dimensions also land in -bench-json as the churn/* and
+// churn3d/* records (12³, 64³ and the incremental-only 128³).
 //
 // -route runs the route-overhead sweep: every (faultCount, trial) cell
 // feeds its fault set through the incremental engine, builds a
@@ -88,6 +86,8 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/grid"
+	"repro/internal/grid3"
 	"repro/internal/stats"
 )
 
@@ -109,7 +109,6 @@ func main() {
 	churn := flag.Int("churn", 0, "run the fault-churn scenario with this many events and report the incremental-vs-rebuild speedup")
 	churn3d := flag.Int("churn3d", 0, "run the 3-D fault-churn scenario with this many events and report the incremental-vs-rebuild speedup")
 	churn3dSize := flag.Int("churn3d-size", 12, "mesh side length of the 3-D churn scenario (12, 64 and 128 are the benchmarked scales; past 64 the per-event rebuild baseline is skipped and the check runs against one final batch build)")
-	churn3dEvents := flag.Int("churn3d-events", 0, "churn events of the 3-D scenario (0 = the scale's benchmark default); implies -churn3d mode like -churn3d-size")
 	route := flag.Bool("route", false, "run the route-overhead sweep: routed stretch and abnormal-hop share vs fault density under the MFP model")
 	routeMessages := flag.Int("route-messages", experiments.DefaultRoute(fault.Random, 1).Messages, "routed source/destination pairs per sweep cell in -route mode")
 	// Flag defaults come from DefaultStress so the acceptance-scale floor
@@ -144,24 +143,16 @@ func main() {
 	if *churn3d < 0 {
 		fatal(fmt.Errorf("-churn3d must be >= 0, got %d", *churn3d))
 	}
-	// -churn3d-size and -churn3d-events select the 3-D scenario on their
-	// own; -churn3d N stays as the historical shorthand for "N events at
-	// the default scale". Either spelling enters the same mode.
+	// -churn3d-size selects the 3-D scenario on its own, at the scale's
+	// benchmark event count; -churn3d N sets the event count.
 	churn3dMode := *churn3d > 0
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "churn3d-size", "churn3d-events":
+		if f.Name == "churn3d-size" {
 			churn3dMode = true
 		}
 	})
 	if *churn3dSize < 2 {
 		fatal(fmt.Errorf("-churn3d-size must be >= 2, got %d", *churn3dSize))
-	}
-	if *churn3dEvents < 0 {
-		fatal(fmt.Errorf("-churn3d-events must be >= 0, got %d", *churn3dEvents))
-	}
-	if *churn3d > 0 && *churn3dEvents > 0 {
-		fatal(fmt.Errorf("-churn3d and -churn3d-events both set the event count; use one"))
 	}
 	if churn3dMode && (*verify || *benchJSON || *churn > 0) {
 		fatal(fmt.Errorf("-churn3d cannot be combined with -verify, -bench-json or -churn"))
@@ -292,11 +283,7 @@ func main() {
 	}
 
 	if *churn > 0 {
-		cfg := churnConfig(*mesh, counts, *churn, *seed)
-		if cfg.Faults > *mesh**mesh {
-			fatal(fmt.Errorf("-faults %d exceeds the %dx%d mesh", cfg.Faults, *mesh, *mesh))
-		}
-		if err := runChurnReport(os.Stdout, cfg); err != nil {
+		if err := runChurnReport(os.Stdout, churnConfig(*mesh, counts, *churn, *seed)); err != nil {
 			fatal(err)
 		}
 		return
@@ -308,16 +295,10 @@ func main() {
 		if *churn3d > 0 {
 			cfg.Events = *churn3d
 		}
-		if *churn3dEvents > 0 {
-			cfg.Events = *churn3dEvents
-		}
 		if len(counts) > 0 {
 			cfg.Faults = counts[0]
 		}
-		if cfg.Faults > cfg.MeshSize*cfg.MeshSize*cfg.MeshSize {
-			fatal(fmt.Errorf("-faults %d exceeds the %dx%dx%d mesh", cfg.Faults, cfg.MeshSize, cfg.MeshSize, cfg.MeshSize))
-		}
-		if err := runChurn3Report(os.Stdout, cfg); err != nil {
+		if err := runChurnReport(os.Stdout, cfg); err != nil {
 			fatal(err)
 		}
 		return
@@ -335,8 +316,8 @@ func main() {
 		if len(counts) > 0 {
 			cfg.FaultCounts = counts
 		}
-		churn3s := []experiments.Churn3Config{
-			experiments.DefaultChurn3(),
+		churn3s := []experiments.Churn[grid3.Coord, grid3.Mesh]{
+			experiments.DefaultChurn3At(12),
 			experiments.DefaultChurn3At(64),
 			experiments.DefaultChurn3At(128),
 		}
@@ -419,7 +400,7 @@ func main() {
 // churnConfig derives the -churn scenario from the shared flags: the
 // steady-state fault count is the first -faults entry, defaulting to the
 // paper's 1% density (and at least one fault on tiny meshes).
-func churnConfig(mesh int, counts []int, events int, seed int64) experiments.ChurnConfig {
+func churnConfig(mesh int, counts []int, events int, seed int64) experiments.Churn[grid.Coord, grid.Mesh] {
 	faults := mesh * mesh / 100
 	if len(counts) > 0 {
 		faults = counts[0]
@@ -427,7 +408,7 @@ func churnConfig(mesh int, counts []int, events int, seed int64) experiments.Chu
 	if faults < 1 {
 		faults = 1
 	}
-	return experiments.ChurnConfig{MeshSize: mesh, Faults: faults, Events: events, BaseSeed: seed}
+	return experiments.Churn2D(mesh, faults, events, seed)
 }
 
 func figureCaption(fig int) string {

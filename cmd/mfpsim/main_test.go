@@ -52,7 +52,7 @@ func TestFigureCaption(t *testing.T) {
 
 func TestChurnConfigFromFlags(t *testing.T) {
 	cfg := churnConfig(100, nil, 200, 1)
-	if cfg.MeshSize != 100 || cfg.Faults != 100 || cfg.Events != 200 || cfg.BaseSeed != 1 {
+	if cfg.Mesh.W != 100 || cfg.Mesh.H != 100 || cfg.Faults != 100 || cfg.Events != 200 || cfg.BaseSeed != 1 {
 		t.Fatalf("default churn config: %+v", cfg)
 	}
 	if got := churnConfig(50, []int{30, 60}, 10, 2).Faults; got != 30 {

@@ -65,7 +65,11 @@ func main() {
 	// from a live engine snapshot, reusing its cached polygons.
 	c := core.Construct(m, faults, core.Options{})
 	fb := block.Build(m, faults)
-	snap, err := engine.SnapshotOf(m, faults)
+	e, err := engine.New(m)
+	if err != nil {
+		fatal(err)
+	}
+	snap, err := e.Load(faults)
 	if err != nil {
 		fatal(err)
 	}

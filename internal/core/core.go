@@ -15,6 +15,7 @@ import (
 	"repro/internal/dmfp"
 	"repro/internal/fp"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/mfp"
 	"repro/internal/nodeset"
 	"repro/internal/status"
@@ -92,6 +93,26 @@ func Construct(m grid.Mesh, faults *nodeset.Set, opts Options) *Construction {
 		c.Distributed = dmfp.Build(m, faults)
 	}
 	return c
+}
+
+// Reference runs Construct on faults with one worker and adapts the result
+// to the shape kernel.Snapshot.Verify compares an engine's snapshot
+// against: the MFP components and polygons, their disabled union, the FB
+// unsafe set and the MFP classification.
+func Reference(faults *nodeset.Set) kernel.Reference[grid.Coord, grid.Mesh] {
+	c := Construct(faults.Mesh(), faults, Options{Workers: 1})
+	comps := make([]*nodeset.Set, len(c.Minimum.Components))
+	for i, comp := range c.Minimum.Components {
+		comps[i] = comp.Nodes
+	}
+	return kernel.Reference[grid.Coord, grid.Mesh]{
+		Faults:     c.Faults,
+		Components: comps,
+		Polygons:   c.Minimum.Polygons,
+		Disabled:   c.Minimum.Disabled,
+		Unsafe:     c.Blocks.Unsafe,
+		Class:      func(n grid.Coord) status.Class { return c.Class(MFP, n) },
+	}
 }
 
 // disabledSet returns the disabled node set (faults included) of a model.

@@ -39,11 +39,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/component"
 	"repro/internal/grid"
 	"repro/internal/kernel"
-	"repro/internal/mfp"
-	"repro/internal/nodeset"
 )
 
 // Op is the kind of a fault event.
@@ -56,9 +53,6 @@ const (
 	// Clear marks a faulty node repaired (a fault departure).
 	Clear = kernel.Clear
 )
-
-// ParseOp converts a wire name ("add" or "clear") back to an Op.
-func ParseOp(s string) (Op, error) { return kernel.ParseOp(s) }
 
 // Event is one fault arrival or repair on a 2-D mesh. It is the unit of
 // the batched event streams mfpd accepts; the wire format is
@@ -73,8 +67,8 @@ type Engine = kernel.Engine[grid.Coord, grid.Mesh]
 
 // Snapshot is one immutable, internally consistent view of a 2-D engine's
 // state — kernel.Snapshot pinned at grid.Mesh. Note that Components
-// returns the components' node sets; wrap them with component.New (or use
-// MFPResult) when bounding boxes are needed.
+// returns the components' node sets; wrap them with component.New when
+// bounding boxes are needed.
 type Snapshot = kernel.Snapshot[grid.Coord, grid.Mesh]
 
 // New returns an engine over an empty fault set. Tori are rejected: the
@@ -87,62 +81,8 @@ func New(m grid.Mesh) (*Engine, error) {
 	return kernel.NewEngine(m, newScheme1)
 }
 
-// ValidateEvents checks that every event lies inside the mesh and carries
-// a known op, returning the first violation. See kernel.ValidateEvents.
-func ValidateEvents(m grid.Mesh, events []Event) error {
-	return kernel.ValidateEvents(m, events)
-}
-
-// Replay applies events to a plain fault set and returns how many changed
-// it — the same counting semantics as Apply's applied result, without an
-// engine. See kernel.Replay.
-func Replay(faults *nodeset.Set, events ...Event) int {
-	return kernel.Replay(faults, events...)
-}
-
 // DecodeEvents decodes a JSON array of wire events from r — the request
 // body format of mfpd's 2-D events endpoints. See kernel.DecodeEvents.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	return kernel.DecodeEvents[grid.Coord](r)
-}
-
-// SnapshotOf builds the snapshot of a static fault set in one shot: a
-// fresh engine fed every fault as one batch of arrivals, which the kernel
-// builds in one pass (one component search, one closure per component).
-// It is the bridge from batch-style callers (simulators, benchmarks,
-// tests) to snapshot consumers like routing.NewPlanner; long-lived callers
-// should hold an Engine and Apply instead.
-func SnapshotOf(m grid.Mesh, faults *nodeset.Set) (*Snapshot, error) {
-	e, err := New(m)
-	if err != nil {
-		return nil, err
-	}
-	events := make([]Event, 0, faults.Len())
-	faults.Each(func(c grid.Coord) {
-		events = append(events, Event{Op: Add, Node: c})
-	})
-	_, snap, err := e.Apply(events)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// MFPResult assembles a snapshot's cached parts into an mfp.Result, the
-// exact value mfp.Build would return for the snapshot's fault set (Rounds
-// excepted, which only BuildLabelling populates). The result shares the
-// snapshot's sets; it is primarily a bridge to mfp.Result.Validate and to
-// code written against the batch API.
-func MFPResult(s *Snapshot) *mfp.Result {
-	comps := make([]*component.Component, len(s.Components()))
-	for i, nodes := range s.Components() {
-		comps[i] = component.New(s.Mesh(), nodes)
-	}
-	return &mfp.Result{
-		Mesh:       s.Mesh(),
-		Faults:     s.Faults(),
-		Components: comps,
-		Polygons:   s.Polygons(),
-		Disabled:   s.Disabled(),
-	}
 }

@@ -10,51 +10,25 @@ import (
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/nodeset"
+	"repro/internal/status"
 )
 
-// checkAgainstRebuild asserts the engine snapshot is identical to a
-// from-scratch core.Construct on the same fault set: same polygons in the
-// same order, same disabled set, same unsafe set, same status for every
-// node. This is the engine's correctness contract.
-func checkAgainstRebuild(t *testing.T, snap *engine.Snapshot) {
+// verify asserts the snapshot is identical to a from-scratch
+// core.Construct on the same fault set (kernel.Snapshot.Verify). This is
+// the engine's correctness contract.
+func verify(t *testing.T, snap *engine.Snapshot) {
 	t.Helper()
-	m := snap.Mesh()
-	c := core.Construct(m, snap.Faults(), core.Options{Workers: 1})
-	want := c.Minimum
-	if len(snap.Polygons()) != len(want.Polygons) {
-		t.Fatalf("%d polygons, rebuild has %d (faults %v)", len(snap.Polygons()), len(want.Polygons), snap.Faults())
-	}
-	for i, p := range snap.Polygons() {
-		if !p.Equal(want.Polygons[i]) {
-			t.Fatalf("polygon %d differs from rebuild:\n got %v\nwant %v", i, p, want.Polygons[i])
-		}
-		if !snap.Components()[i].Equal(want.Components[i].Nodes) {
-			t.Fatalf("component %d differs from rebuild", i)
-		}
-	}
-	if !snap.Disabled().Equal(want.Disabled) {
-		t.Fatalf("disabled set differs from rebuild:\n got %v\nwant %v", snap.Disabled(), want.Disabled)
-	}
-	if !snap.Unsafe().Equal(c.Blocks.Unsafe) {
-		t.Fatalf("unsafe set differs from rebuild:\n got %v\nwant %v", snap.Unsafe(), c.Blocks.Unsafe)
-	}
-	for i := 0; i < m.Size(); i++ {
-		node := m.CoordAt(i)
-		if got, wantCl := snap.Class(node), c.Class(core.MFP, node); got != wantCl {
-			t.Fatalf("class of %v: %v, rebuild says %v", node, got, wantCl)
-		}
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("snapshot invalid: %v", err)
+	if err := snap.Verify(core.Reference(snap.Faults())); err != nil {
+		t.Fatalf("%v (faults %v)", err, snap.Faults())
 	}
 }
 
-// checkEngine is checkAgainstRebuild on the engine's current snapshot
+// checkEngine is verify on the engine's current snapshot
 // plus the engine's fault-index invariants: exactly one key per fault, and
 // every fault's owner component contains it.
 func checkEngine(t *testing.T, e *engine.Engine) {
 	t.Helper()
-	checkAgainstRebuild(t, e.Snapshot())
+	verify(t, e.Snapshot())
 	if err := e.CheckOwners(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +55,7 @@ func TestEmptyEngine(t *testing.T) {
 	if snap.MeanPolygonSize() != 0 || snap.DisabledNonFaulty() != 0 {
 		t.Fatal("fresh engine has non-zero metrics")
 	}
-	checkAgainstRebuild(t, snap)
+	verify(t, snap)
 }
 
 // The diagonal staircase of the quickstart example, grown one fault at a
@@ -126,7 +100,7 @@ func TestAddMergesFourComponents(t *testing.T) {
 	if n := len(snap.Polygons()); n != 1 {
 		t.Fatalf("%d components after the merge, want 1", n)
 	}
-	checkAgainstRebuild(t, snap)
+	verify(t, snap)
 
 	// And the repair splits it back apart.
 	e.ClearFault(grid.XY(3, 3))
@@ -134,7 +108,7 @@ func TestAddMergesFourComponents(t *testing.T) {
 	if n := len(snap.Polygons()); n != 4 {
 		t.Fatalf("%d components after the split, want 4", n)
 	}
-	checkAgainstRebuild(t, snap)
+	verify(t, snap)
 }
 
 // Clearing the last fault of a component must dissolve the component
@@ -147,7 +121,7 @@ func TestClearLastFaultOfComponent(t *testing.T) {
 	if len(snap.Polygons()) != 0 || !snap.Disabled().Empty() || !snap.Unsafe().Empty() {
 		t.Fatalf("state remains after clearing the only fault: %v", snap.Disabled())
 	}
-	checkAgainstRebuild(t, snap)
+	verify(t, snap)
 
 	// A lone fault inside the concave region of a staircase: its polygon
 	// overlaps the staircase's, and dissolving it must not disturb the
@@ -158,6 +132,35 @@ func TestClearLastFaultOfComponent(t *testing.T) {
 	checkEngine(t, e)
 	e.ClearFault(grid.XY(3, 2))
 	checkEngine(t, e)
+}
+
+// Polygons of distinct components can overlap: an isolated fault inside
+// a U's cavity has its own polygon, lying inside the U's. Clearing it
+// takes its polygon out of the disabled union, and the union must get the
+// node back from the U's polygon, which still covers it.
+func TestClearFaultInsideAnotherPolygon(t *testing.T) {
+	m := grid.New(5, 4)
+	e, _ := engine.New(m)
+	var u []engine.Event
+	for i := 0; i < m.Size(); i++ {
+		if c := m.CoordAt(i); c.X == 0 || c.X == 4 || c.Y == 0 {
+			u = append(u, engine.Event{Op: engine.Add, Node: c})
+		}
+	}
+	if _, _, err := e.Apply(u); err != nil {
+		t.Fatal(err)
+	}
+	inner := grid.XY(2, 2)
+	e.AddFault(inner)
+	if n := len(e.Snapshot().Polygons()); n != 2 {
+		t.Fatalf("%d components, want the U and the inner fault", n)
+	}
+	checkEngine(t, e)
+	e.ClearFault(inner)
+	checkEngine(t, e)
+	if got := e.Snapshot().Class(inner); got != status.Disabled {
+		t.Fatalf("cleared node inside the U's polygon is %v, want disabled", got)
+	}
 }
 
 func TestDuplicateEvents(t *testing.T) {
@@ -249,8 +252,8 @@ func TestSnapshotsAreImmutableAndShared(t *testing.T) {
 	if after.Polygons()[0] != polyA {
 		t.Fatal("untouched component's polygon was not shared between snapshots")
 	}
-	checkAgainstRebuild(t, before)
-	checkAgainstRebuild(t, after)
+	verify(t, before)
+	verify(t, after)
 }
 
 // A random add/clear storm on a small mesh, cross-checked against a full
@@ -295,7 +298,7 @@ func TestReplayMatchesBatchBuild(t *testing.T) {
 		if !snap.Faults().Equal(faults) {
 			t.Fatalf("%v: replayed fault set differs", model)
 		}
-		checkAgainstRebuild(t, snap)
+		verify(t, snap)
 	}
 }
 

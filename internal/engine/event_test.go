@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -40,7 +41,7 @@ func TestEventJSONRejectsBadInput(t *testing.T) {
 	if _, err := (Event{Op: Op(7)}).MarshalJSON(); err == nil {
 		t.Fatal("invalid op marshalled")
 	}
-	if _, err := ParseOp("nope"); err == nil {
+	if _, err := kernel.ParseOp("nope"); err == nil {
 		t.Fatal("ParseOp accepted junk")
 	}
 	if Op(9).String() == "" || (Event{}).String() == "" {
@@ -89,7 +90,7 @@ func TestReplayMatchesApply(t *testing.T) {
 	}
 	m := grid.New(4, 4)
 	faults := nodeset.New(m)
-	changed := Replay(faults, events...)
+	changed := kernel.Replay(faults, events...)
 
 	e, err := New(m)
 	if err != nil {
@@ -108,7 +109,7 @@ func TestReplayMatchesApply(t *testing.T) {
 
 	// An invalid op is ignored, not treated as a repair.
 	before := faults.Clone()
-	if n := Replay(faults, Event{Op: Op(7), Node: grid.XY(2, 2)}); n != 0 || !faults.Equal(before) {
+	if n := kernel.Replay(faults, Event{Op: Op(7), Node: grid.XY(2, 2)}); n != 0 || !faults.Equal(before) {
 		t.Fatalf("invalid op changed state (n=%d, %v)", n, faults)
 	}
 }

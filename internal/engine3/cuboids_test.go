@@ -6,22 +6,19 @@ import (
 
 	"repro/internal/engine3"
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/mfp3d"
 	"repro/internal/nodeset3"
 )
 
-// checkAgainstBatch pins the incremental cuboid model against the batch
-// construction: the snapshot's unsafe set must be byte-identical to
-// mfp3d.Build's DisabledCuboid for the same fault set.
-func checkAgainstBatch(t *testing.T, snap *engine3.Snapshot, faults *nodeset3.Set, step int) {
+// verify pins the incremental engine, cuboid model included, against the
+// batch construction of the reference fault set (kernel.Snapshot.Verify):
+// the snapshot's unsafe set must be byte-identical to mfp3d.Build's
+// DisabledCuboid, and its polytopes to Build's.
+func verify(t *testing.T, snap *engine3.Snapshot, faults *nodeset3.Set, step int) {
 	t.Helper()
-	if !snap.Faults().Equal(faults) {
-		t.Fatalf("step %d: engine fault set diverged from reference", step)
-	}
-	want := mfp3d.Build(snap.Mesh(), faults).DisabledCuboid
-	if !snap.Unsafe().Equal(want) {
-		t.Fatalf("step %d: incremental cuboid union diverged from batch Build\n got %d nodes\nwant %d nodes",
-			step, snap.Unsafe().Len(), want.Len())
+	if err := snap.Verify(mfp3d.Reference(faults)); err != nil {
+		t.Fatalf("step %d: %v", step, err)
 	}
 }
 
@@ -68,8 +65,8 @@ func TestCuboidsMatchBatchRandom(t *testing.T) {
 				if _, snap, err := e.Apply([]engine3.Event{ev}); err != nil {
 					t.Fatal(err)
 				} else {
-					engine3.Replay(faults, ev)
-					checkAgainstBatch(t, snap, faults, step)
+					kernel.Replay(faults, ev)
+					verify(t, snap, faults, step)
 					if err := e.CheckOwners(); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -99,8 +96,8 @@ func TestCuboidsForcedSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine3.Replay(faults, ev)
-		checkAgainstBatch(t, snap, faults, step)
+		kernel.Replay(faults, ev)
+		verify(t, snap, faults, step)
 		if err := e.CheckOwners(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}

@@ -63,42 +63,11 @@ func New(m grid3.Mesh) (*Engine, error) {
 	return kernel.NewEngine(m, newCuboids)
 }
 
-// ValidateEvents checks that every event lies inside the mesh and carries
-// a known op, returning the first violation. See kernel.ValidateEvents.
-func ValidateEvents(m grid3.Mesh, events []Event) error {
-	return kernel.ValidateEvents(m, events)
-}
-
-// Replay applies events to a plain fault set and returns how many changed
-// it. See kernel.Replay.
-func Replay(faults *nodeset3.Set, events ...Event) int {
-	return kernel.Replay(faults, events...)
-}
-
 // DecodeEvents decodes a JSON array of 3-D wire events from r — the
 // request body format of mfpd's events endpoint on a 3-D mesh. See
 // kernel.DecodeEvents.
 func DecodeEvents(r io.Reader) ([]Event, error) {
 	return kernel.DecodeEvents[grid3.Coord](r)
-}
-
-// SnapshotOf builds the snapshot of a static fault set in one shot: a
-// fresh engine fed every fault as one batch of arrivals, which the kernel
-// builds in one pass.
-func SnapshotOf(m grid3.Mesh, faults *nodeset3.Set) (*Snapshot, error) {
-	e, err := New(m)
-	if err != nil {
-		return nil, err
-	}
-	events := make([]Event, 0, faults.Len())
-	faults.Each(func(c grid3.Coord) {
-		events = append(events, Event{Op: Add, Node: c})
-	})
-	_, snap, err := e.Apply(events)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
 }
 
 // cuboids is the kernel.BlockModel of the 3-D engine: the union of

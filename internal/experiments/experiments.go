@@ -8,6 +8,14 @@
 // Every sweep fans its (faultCount, trial) cells out to a bounded worker
 // pool (Config.Workers); results are merged in canonical order, so the
 // tables are identical for every worker count, including the serial run.
+//
+// Beyond the paper's static sweeps, Churn is the fault arrival/repair
+// scenario of the incremental engines, one type for both dimensions
+// (Churn2D, Churn3D): its replay through the engine, its per-event
+// from-scratch rebuild and its final batch build back mfpsim's -churn and
+// -churn3d reports and the churn benchmark records. Stress drives the
+// same 2-D stream through many shards, RouteSweep measures routing over
+// engine snapshots, and Restart times a durable restart.
 package experiments
 
 import (

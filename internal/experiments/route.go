@@ -141,7 +141,11 @@ func RouteSweep(cfg RouteConfig) *stats.Table {
 // the parallelism), and fold the metrics.
 func routeCell(m grid.Mesh, cfg RouteConfig, n int, seed int64) []float64 {
 	faults := fault.InjectWithMargin(m, cfg.Model, seed, n, cfg.Margin)
-	snap, err := engine.SnapshotOf(m, faults)
+	e, err := engine.New(m)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: route cell engine: %v", err))
+	}
+	snap, err := e.Load(faults)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: route cell snapshot: %v", err))
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -26,7 +27,7 @@ import (
 // against a from-scratch core.Construct over the expected fault set.
 //
 // The scenario is deterministic: every per-shard event stream is a seeded
-// ChurnConfig sequence, each shard's stream is submitted in order (clients
+// Churn2D sequence, each shard's stream is submitted in order (clients
 // parallelise across shards, never within one), and no wall-clock enters
 // the run. The report is therefore byte-identical for a fixed seed at any
 // Clients or MaxResident value — scheduling and eviction change only
@@ -214,12 +215,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		if i < cfg.Events%cfg.Shards {
 			per++
 		}
-		churn := ChurnConfig{
-			MeshSize: cfg.MeshSize,
-			Faults:   warm,
-			Events:   per - warm,
-			BaseSeed: cfg.BaseSeed + int64(i)*1_000_003,
-		}
+		churn := Churn2D(cfg.MeshSize, warm, per-warm, cfg.BaseSeed+int64(i)*1_000_003)
 		name := fmt.Sprintf("mesh-%03d", i)
 		sh, err := mgr.Create(name, mesh)
 		if err != nil {
@@ -290,7 +286,7 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 			return nil, firstErr
 		}
 
-		cp, err := verifyCheckpoint(shards, mesh, round)
+		cp, err := checkpoint(shards, round)
 		if err != nil {
 			return nil, err
 		}
@@ -392,16 +388,17 @@ func crashRecover(old *shard.Manager, mgrCfg shard.Config, dataDir string, shard
 	return next, nil
 }
 
-// verifyCheckpoint replays each shard's round chunk into the driver's
-// expected state and differentially verifies the shard's snapshot against
-// a from-scratch core.Construct.
-func verifyCheckpoint(shards []*stressShard, mesh grid.Mesh, round int) (StressCheckpoint, error) {
+// checkpoint replays each shard's round chunk into the driver's expected
+// state, differentially verifies the shard's snapshot against a
+// from-scratch core.Construct (kernel.Snapshot.Verify), and sums the
+// shards into the checkpoint's totals and digest.
+func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 	cp := StressCheckpoint{Round: round + 1}
 	digest := fnv.New64a()
 	for _, ss := range shards {
 		chunk := ss.chunks[round]
 		ss.events += len(chunk)
-		ss.applied += uint64(engine.Replay(ss.faults, chunk...))
+		ss.applied += uint64(kernel.Replay(ss.faults, chunk...))
 
 		v, err := ss.shard.Read()
 		if err != nil {
@@ -412,29 +409,7 @@ func verifyCheckpoint(shards []*stressShard, mesh grid.Mesh, round int) (StressC
 			return cp, fmt.Errorf("%s checkpoint %d: version %d, expected %d applied events",
 				ss.name, round+1, v.Version, ss.applied)
 		}
-		if !snap.Faults().Equal(ss.faults) {
-			return cp, fmt.Errorf("%s checkpoint %d: fault set diverged", ss.name, round+1)
-		}
-		ref := core.Construct(mesh, ss.faults, core.Options{Workers: 1})
-		if !snap.Disabled().Equal(ref.Minimum.Disabled) {
-			return cp, fmt.Errorf("%s checkpoint %d: MFP disabled set diverged from core.Construct", ss.name, round+1)
-		}
-		if !snap.Unsafe().Equal(ref.Blocks.Unsafe) {
-			return cp, fmt.Errorf("%s checkpoint %d: FB unsafe set diverged from core.Construct", ss.name, round+1)
-		}
-		if len(snap.Polygons()) != len(ref.Minimum.Polygons) {
-			return cp, fmt.Errorf("%s checkpoint %d: %d polygons, core built %d",
-				ss.name, round+1, len(snap.Polygons()), len(ref.Minimum.Polygons))
-		}
-		for i, p := range snap.Polygons() {
-			if !p.Equal(ref.Minimum.Polygons[i]) {
-				return cp, fmt.Errorf("%s checkpoint %d: polygon %d diverged from core.Construct", ss.name, round+1, i)
-			}
-			if !snap.Components()[i].Equal(ref.Minimum.Components[i].Nodes) {
-				return cp, fmt.Errorf("%s checkpoint %d: component %d diverged from core.Construct", ss.name, round+1, i)
-			}
-		}
-		if err := snap.Validate(); err != nil {
+		if err := snap.Verify(core.Reference(ss.faults)); err != nil {
 			return cp, fmt.Errorf("%s checkpoint %d: %w", ss.name, round+1, err)
 		}
 

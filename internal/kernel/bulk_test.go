@@ -140,44 +140,12 @@ func randomCoords[C any, T kernel.Topology[C]](rng *rand.Rand, m T, p float64) [
 	return out
 }
 
-// check2D compares a 2-D snapshot against core.Construct.
-func check2D(t *testing.T, snap *engine.Snapshot) {
+// verify compares a snapshot with rebuild, the from-scratch construction
+// of its fault set (core.Reference in 2-D, mfp3d.Reference in 3-D).
+func verify[C any, T kernel.Topology[C]](t *testing.T, snap *kernel.Snapshot[C, T], rebuild func(*kernel.Set[C, T]) kernel.Reference[C, T]) {
 	t.Helper()
-	c := core.Construct(snap.Mesh(), snap.Faults(), core.Options{Workers: 1})
-	want := c.Minimum
-	if len(snap.Polygons()) != len(want.Polygons) {
-		t.Fatalf("%d polygons, core.Construct has %d", len(snap.Polygons()), len(want.Polygons))
-	}
-	for i, p := range snap.Polygons() {
-		if !p.Equal(want.Polygons[i]) || !snap.Components()[i].Equal(want.Components[i].Nodes) {
-			t.Fatalf("component %d differs from core.Construct", i)
-		}
-	}
-	if !snap.Disabled().Equal(want.Disabled) {
-		t.Fatal("disabled set differs from core.Construct")
-	}
-	if !snap.Unsafe().Equal(c.Blocks.Unsafe) {
-		t.Fatal("unsafe set differs from core.Construct")
-	}
-}
-
-// check3D compares a 3-D snapshot against mfp3d.Build.
-func check3D(t *testing.T, snap *engine3.Snapshot) {
-	t.Helper()
-	want := mfp3d.Build(snap.Mesh(), snap.Faults())
-	if len(snap.Polygons()) != len(want.Polytopes) {
-		t.Fatalf("%d polytopes, mfp3d.Build has %d", len(snap.Polygons()), len(want.Polytopes))
-	}
-	for i, p := range snap.Polygons() {
-		if !p.Equal(want.Polytopes[i]) || !snap.Components()[i].Equal(want.Components[i]) {
-			t.Fatalf("component %d differs from mfp3d.Build", i)
-		}
-	}
-	if !snap.Disabled().Equal(want.DisabledPolytope) {
-		t.Fatal("disabled set differs from mfp3d.Build")
-	}
-	if !snap.Unsafe().Equal(want.DisabledCuboid) {
-		t.Fatal("unsafe set differs from mfp3d.Build")
+	if err := snap.Verify(rebuild(snap.Faults())); err != nil {
+		t.Fatalf("%v (faults %v)", err, snap.Faults())
 	}
 }
 
@@ -216,8 +184,8 @@ func TestBulkBuildMatchesPerEvent2D(t *testing.T) {
 				}
 				return e
 			}, "2", addEvents(rng, tc.coords))
-			check2D(t, e.Snapshot())
-			churn(t, rng, e, 200, func(s *engine.Snapshot) { check2D(t, s) })
+			verify(t, e.Snapshot(), core.Reference)
+			churn(t, rng, e, 200, func(s *engine.Snapshot) { verify(t, s, core.Reference) })
 		})
 	}
 }
@@ -248,8 +216,8 @@ func TestBulkBuildMatchesPerEvent3D(t *testing.T) {
 				}
 				return e
 			}, "3", addEvents(rng, tc.coords))
-			check3D(t, e.Snapshot())
-			churn(t, rng, e, 200, func(s *engine3.Snapshot) { check3D(t, s) })
+			verify(t, e.Snapshot(), mfp3d.Reference)
+			churn(t, rng, e, 200, func(s *engine3.Snapshot) { verify(t, s, mfp3d.Reference) })
 		})
 	}
 }
@@ -297,5 +265,5 @@ func TestBulkBuildOnlyFromEmptyAddOnly(t *testing.T) {
 	if err := e.CheckOwners(); err != nil {
 		t.Fatal(err)
 	}
-	check2D(t, e.Snapshot())
+	verify(t, e.Snapshot(), core.Reference)
 }

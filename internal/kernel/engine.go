@@ -278,8 +278,8 @@ func Replay[C any, T Topology[C]](faults *Set[C, T], events ...Event[C]) int {
 // applied.
 //
 // A batch of arrivals only, applied to an engine that holds no faults
-// (recovery, an eviction rebuild, SnapshotOf, a fresh mesh's first bulk
-// load), is built in one pass instead of event by event: one component
+// (Load: recovery, an eviction rebuild, a fresh mesh's first bulk load),
+// is built in one pass instead of event by event: one component
 // search over the whole fault set and one closure per component. The
 // snapshot is the one the per-event path would publish — a minimum
 // polygon depends on its component alone. Every other batch takes the
@@ -318,6 +318,17 @@ func (e *Engine[C, T]) Apply(events []Event[C]) (applied int, snap *Snapshot[C, 
 	}
 	e.metrics.indexVisits.Add(e.index.takeVisits())
 	return applied, e.snap.Load(), nil
+}
+
+// Load adds every fault of faults as one batch of arrivals and returns the
+// snapshot it produced. On an engine that holds no faults, which is what
+// it is for (recovery, an eviction rebuild, a static fault set handed to
+// a snapshot consumer), Apply builds the batch in one pass.
+func (e *Engine[C, T]) Load(faults *Set[C, T]) (*Snapshot[C, T], error) {
+	events := make([]Event[C], 0, faults.Len())
+	faults.Each(func(c C) { events = append(events, Event[C]{Op: Add, Node: c}) })
+	_, snap, err := e.Apply(events)
+	return snap, err
 }
 
 // onlyAdds reports whether every event is an arrival.

@@ -6,11 +6,13 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine3"
 	"repro/internal/grid"
 	"repro/internal/grid3"
 	"repro/internal/kernel"
+	"repro/internal/mfp3d"
 )
 
 // This file checks the engine against every fault set of a few small
@@ -31,10 +33,10 @@ var exhaustiveLarge = flag.Bool("exhaustive-large", false, "walk the 5x4 and 3x3
 const bulkEvery = 64
 
 // grayWalk visits every fault set of the mesh in Gray-code order, one
-// Apply per step, checking each snapshot with check (check2D or check3D,
-// the from-scratch comparisons of bulk_test.go).
+// Apply per step, comparing each snapshot with rebuild, the from-scratch
+// construction (core.Reference or mfp3d.Reference).
 func grayWalk[C any, T kernel.Topology[C]](t *testing.T, mesh T, newEngine func() *kernel.Engine[C, T],
-	check func(*testing.T, *kernel.Snapshot[C, T])) {
+	rebuild func(*kernel.Set[C, T]) kernel.Reference[C, T]) {
 	t.Helper()
 	e := newEngine()
 	faults := kernel.NewSet[C](mesh)
@@ -50,10 +52,9 @@ func grayWalk[C any, T kernel.Topology[C]](t *testing.T, mesh T, newEngine func(
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !snap.Faults().Equal(faults) {
-			t.Fatalf("state %d (%v after %v): fault set diverged", step, faults, events[0])
+		if err := snap.Verify(rebuild(faults)); err != nil {
+			t.Fatalf("state %d (%v after %v): %v", step, faults, events[0], err)
 		}
-		check(t, snap)
 		if err := e.CheckOwners(); err != nil {
 			t.Fatalf("state %d (%v): %v", step, faults, err)
 		}
@@ -65,13 +66,10 @@ func grayWalk[C any, T kernel.Topology[C]](t *testing.T, mesh T, newEngine func(
 	}
 }
 
-// bulkBuild applies every fault of faults to an empty engine as one batch
-// of arrivals, which takes the bulk path.
+// bulkBuild loads faults into an empty engine, which takes the bulk path.
 func bulkBuild[C any, T kernel.Topology[C]](t *testing.T, e *kernel.Engine[C, T], faults *kernel.Set[C, T]) *kernel.Snapshot[C, T] {
 	t.Helper()
-	var events []kernel.Event[C]
-	faults.Each(func(c C) { events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c}) })
-	_, snap, err := e.Apply(events)
+	snap, err := e.Load(faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestExhaustive2D(t *testing.T) {
 					t.Fatal(err)
 				}
 				return e
-			}, check2D)
+			}, core.Reference)
 		})
 	}
 }
@@ -145,7 +143,7 @@ func TestExhaustive3D(t *testing.T) {
 					t.Fatal(err)
 				}
 				return e
-			}, check3D)
+			}, mfp3d.Reference)
 		})
 	}
 }

@@ -117,3 +117,53 @@ func (s *Snapshot[C, T]) Validate() error {
 	}
 	return nil
 }
+
+// Reference is a from-scratch construction of one fault set in the shape
+// Snapshot.Verify compares against. core.Reference adapts core.Construct
+// and mfp3d.Reference adapts mfp3d.Build.
+type Reference[C any, T Topology[C]] struct {
+	Faults *Set[C, T]
+	// Components and Polygons are index-aligned, in seed order.
+	Components []*Set[C, T]
+	Polygons   []*Set[C, T]
+	Disabled   *Set[C, T]
+	Unsafe     *Set[C, T]
+	// Class is the construction's own classification of a node.
+	Class func(C) status.Class
+}
+
+// Verify reports the first way the snapshot differs from ref, a
+// from-scratch construction of the same fault set: the fault set, each
+// component and its polygon in seed order, the disabled and unsafe sets,
+// and every node's class. It then checks the snapshot's own invariants
+// (Validate). This is the differential check of every engine test, churn
+// report and stress checkpoint.
+func (s *Snapshot[C, T]) Verify(ref Reference[C, T]) error {
+	if !s.faults.Equal(ref.Faults) {
+		return fmt.Errorf("rebuild differs: fault set")
+	}
+	if len(s.comps) != len(ref.Components) || len(s.polygons) != len(ref.Polygons) {
+		return fmt.Errorf("rebuild differs: %d components, the rebuild has %d", len(s.comps), len(ref.Components))
+	}
+	for i := range s.comps {
+		if !s.comps[i].Equal(ref.Components[i]) {
+			return fmt.Errorf("rebuild differs: component %d", i)
+		}
+		if !s.polygons[i].Equal(ref.Polygons[i]) {
+			return fmt.Errorf("rebuild differs: polygon %d", i)
+		}
+	}
+	if !s.disabled.Equal(ref.Disabled) {
+		return fmt.Errorf("rebuild differs: disabled set")
+	}
+	if !s.unsafe.Equal(ref.Unsafe) {
+		return fmt.Errorf("rebuild differs: unsafe set")
+	}
+	for i := 0; i < s.mesh.Size(); i++ {
+		node := s.mesh.CoordAt(i)
+		if got, want := s.Class(node), ref.Class(node); got != want {
+			return fmt.Errorf("rebuild differs: class of %v is %v, the rebuild says %v", node, got, want)
+		}
+	}
+	return s.Validate()
+}

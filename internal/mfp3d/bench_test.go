@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 )
 
 func BenchmarkBuildClustered400(b *testing.B) {
@@ -18,11 +19,11 @@ func BenchmarkBuildClustered400(b *testing.B) {
 func BenchmarkClosureBlob(b *testing.B) {
 	m := grid3.New(20, 20, 20)
 	faults := ClusteredFaults(m, 120, 2)
-	comps := Components(faults)
+	comps := kernel.Regions(faults)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range comps {
-			Closure(c)
+			kernel.Closure(c)
 		}
 	}
 }

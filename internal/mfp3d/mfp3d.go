@@ -34,24 +34,8 @@ import (
 	"repro/internal/grid3"
 	"repro/internal/kernel"
 	"repro/internal/nodeset3"
+	"repro/internal/status"
 )
-
-// IsOrthoConvex reports whether every axis-parallel line meets the region
-// in a contiguous segment.
-func IsOrthoConvex(s *nodeset3.Set) bool { return kernel.IsOrthoConvex(s) }
-
-// FillOnce returns the region plus the nodes of every axis-line gap — one
-// pass of the 3-D concave-section fill.
-func FillOnce(s *nodeset3.Set) *nodeset3.Set { return kernel.FillOnce(s) }
-
-// Closure returns the orthogonal convex closure of the region — the
-// minimum orthogonal convex polytope containing it — and the number of fill
-// passes needed.
-func Closure(s *nodeset3.Set) (*nodeset3.Set, int) { return kernel.Closure(s) }
-
-// Components returns the 26-connected components of the fault set in
-// deterministic order.
-func Components(faults *nodeset3.Set) []*nodeset3.Set { return kernel.Regions(faults) }
 
 // RasterizeBox ORs every node of the box into dst and returns the number
 // of rows (contiguous X runs in the row-major index space) it touched. A
@@ -128,12 +112,12 @@ func Build(m grid3.Mesh, faults *nodeset3.Set) *Result {
 	res := &Result{
 		Mesh:             m,
 		Faults:           faults.Clone(),
-		Components:       Components(faults),
+		Components:       kernel.Regions(faults),
 		DisabledPolytope: nodeset3.New(m),
 		DisabledCuboid:   nodeset3.New(m),
 	}
 	for _, c := range res.Components {
-		poly, _ := Closure(c)
+		poly, _ := kernel.Closure(c)
 		res.Polytopes = append(res.Polytopes, poly)
 		res.DisabledPolytope.UnionWith(poly)
 		box := nodeset3.Bounds(c)
@@ -141,6 +125,24 @@ func Build(m grid3.Mesh, faults *nodeset3.Set) *Result {
 		RasterizeBox(res.DisabledCuboid, box)
 	}
 	return res
+}
+
+// Reference runs Build on faults and adapts the result to the shape
+// kernel.Snapshot.Verify compares an engine's snapshot against: the
+// polytopes, their disabled union and the cuboid unsafe set, which
+// classify a node like the 2-D models do.
+func Reference(faults *nodeset3.Set) kernel.Reference[grid3.Coord, grid3.Mesh] {
+	r := Build(faults.Mesh(), faults)
+	return kernel.Reference[grid3.Coord, grid3.Mesh]{
+		Faults:     r.Faults,
+		Components: r.Components,
+		Polygons:   r.Polytopes,
+		Disabled:   r.DisabledPolytope,
+		Unsafe:     r.DisabledCuboid,
+		Class: func(n grid3.Coord) status.Class {
+			return status.Classify(r.Faults.Has(n), r.DisabledPolytope.Has(n), r.DisabledCuboid.Has(n))
+		},
+	}
 }
 
 // PolytopeDisabledNonFaulty returns the number of non-faulty nodes the
@@ -165,7 +167,7 @@ func (r *Result) Validate() error {
 		if !p.ContainsAll(c) {
 			return fmt.Errorf("mfp3d: polytope %d misses component nodes", i)
 		}
-		if !IsOrthoConvex(p) {
+		if !kernel.IsOrthoConvex(p) {
 			return fmt.Errorf("mfp3d: polytope %d is not orthogonal convex", i)
 		}
 		inBox := true

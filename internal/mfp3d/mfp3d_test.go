@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/nodeset3"
 )
 
@@ -23,7 +24,7 @@ func TestIsOrthoConvexShapes(t *testing.T) {
 		{"bar", nodeset3.FromCoords(m, grid3.XYZ(1, 1, 1), grid3.XYZ(2, 1, 1), grid3.XYZ(3, 1, 1)), true},
 	}
 	for _, tc := range cases {
-		if got := IsOrthoConvex(tc.s); got != tc.want {
+		if got := kernel.IsOrthoConvex(tc.s); got != tc.want {
 			t.Errorf("%s: IsOrthoConvex = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -32,7 +33,7 @@ func TestIsOrthoConvexShapes(t *testing.T) {
 func TestFillOnceGaps(t *testing.T) {
 	m := grid3.New(8, 8, 8)
 	s := nodeset3.FromCoords(m, grid3.XYZ(1, 1, 1), grid3.XYZ(4, 1, 1))
-	f := FillOnce(s)
+	f := kernel.FillOnce(s)
 	if f.Len() != 4 || !f.Has(grid3.XYZ(2, 1, 1)) || !f.Has(grid3.XYZ(3, 1, 1)) {
 		t.Fatalf("fill = %v", f)
 	}
@@ -47,17 +48,17 @@ func TestClosureCascades(t *testing.T) {
 		grid3.XYZ(1, 1, 1), // connects everything
 		grid3.XYZ(1, 2, 0), // Y-gap with the filled (1,0,0)
 	)
-	if got := len(Components(s)); got != 1 {
+	if got := len(kernel.Regions(s)); got != 1 {
 		t.Fatalf("components = %d, want 1", got)
 	}
-	cl, passes := Closure(s)
+	cl, passes := kernel.Closure(s)
 	if passes < 2 {
 		t.Fatalf("cascade should need ≥2 passes, got %d", passes)
 	}
 	if !cl.Has(grid3.XYZ(1, 0, 0)) || !cl.Has(grid3.XYZ(1, 1, 0)) {
 		t.Fatalf("cascade cells missing: %v", cl)
 	}
-	if !IsOrthoConvex(cl) {
+	if !kernel.IsOrthoConvex(cl) {
 		t.Fatal("closure not convex")
 	}
 }
@@ -148,8 +149,8 @@ func TestClosureMinimality(t *testing.T) {
 	m := grid3.New(10, 10, 10)
 	for seed := int64(0); seed < 8; seed++ {
 		faults := ClusteredFaults(m, 25, seed)
-		for _, comp := range Components(faults) {
-			cl, _ := Closure(comp)
+		for _, comp := range kernel.Regions(faults) {
+			cl, _ := kernel.Closure(comp)
 			added := 0
 			cl.Each(func(c grid3.Coord) {
 				if comp.Has(c) {
@@ -158,7 +159,7 @@ func TestClosureMinimality(t *testing.T) {
 				added++
 				test := cl.Clone()
 				test.Remove(c)
-				if IsOrthoConvex(test) {
+				if kernel.IsOrthoConvex(test) {
 					t.Fatalf("seed %d: closure not minimal at %v", seed, c)
 				}
 			})

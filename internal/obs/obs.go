@@ -351,7 +351,7 @@ var LatencyBuckets = []float64{
 }
 
 // SizeBuckets is the default size layout for event/batch counts: powers of
-// two from 1 to 4096 (the shard layer's DefaultMaxBatch).
+// two from 1 to 4096 (the shard layer's maxBatch coalescing cap).
 var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // FamilyNames returns the sorted names of every registered family,

@@ -14,7 +14,11 @@ import (
 // snapshotFor applies the faults as engine events and returns the snapshot.
 func snapshotFor(t *testing.T, m grid.Mesh, faults *nodeset.Set) *engine.Snapshot {
 	t.Helper()
-	snap, err := engine.SnapshotOf(m, faults)
+	e, err := engine.New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := e.Load(faults)
 	if err != nil {
 		t.Fatal(err)
 	}

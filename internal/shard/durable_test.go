@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine3"
 	"repro/internal/grid"
 	"repro/internal/grid3"
+	"repro/internal/kernel"
 	"repro/internal/nodeset"
 )
 
@@ -16,6 +17,42 @@ import (
 // config otherwise, so tests exercise exactly the WAL plumbing.
 func durableManager(dir string, compact int64) *Manager {
 	return NewManager(Config{DataDir: dir, CompactBytes: compact})
+}
+
+// Recovery loads the recovered fault set into the one engine the shard
+// builds, instead of building a second and dropping the first.
+func TestRecoverBuildsOneEngine(t *testing.T) {
+	dir := t.TempDir()
+	mesh := grid.New(16, 16)
+	mgr := durableManager(dir, 0)
+	sh, err := mgr.Create("m", mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Apply([]engine.Event{add(2, 2), add(3, 3), add(9, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+
+	mgr2 := durableManager(dir, 0)
+	defer mgr2.Close()
+	built := 0
+	count := func(m grid.Mesh) (*kernel.Engine[grid.Coord, grid.Mesh], error) {
+		built++
+		return newEngine2(m)
+	}
+	sh2, err := create(mgr2, "m", mesh, count, newPlanner2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != 1 {
+		t.Fatalf("recovering one mesh built %d engines, want 1", built)
+	}
+	v, err := sh2.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify(t, v, nodeset.FromCoords(mesh, grid.XY(2, 2), grid.XY(3, 3), grid.XY(9, 9)))
 }
 
 // TestDurableRoundtrip: apply, shut down cleanly, recover in a fresh
@@ -63,7 +100,7 @@ func TestDurableRoundtrip(t *testing.T) {
 		t.Fatalf("recovered version %d, want 4", v.Version)
 	}
 	expected := nodeset.FromCoords(mesh, grid.XY(2, 2), grid.XY(5, 5))
-	checkAgainstCore(t, v, mesh, expected)
+	verify(t, v, expected)
 	// The recovered shard keeps accepting events with continuous versions.
 	res, err = sh2.Apply([]engine.Event{add(7, 7)})
 	if err != nil {
@@ -94,7 +131,7 @@ func TestDurableCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		version += uint64(engine.Replay(expected, evs...))
+		version += uint64(kernel.Replay(expected, evs...))
 		if res.View.Version != version {
 			t.Fatalf("step %d: version %d, want %d", i, res.View.Version, version)
 		}
@@ -123,7 +160,7 @@ func TestDurableCompaction(t *testing.T) {
 	if v.Version != version {
 		t.Fatalf("recovered version %d, want %d", v.Version, version)
 	}
-	checkAgainstCore(t, v, mesh, expected)
+	verify(t, v, expected)
 }
 
 // TestDurableTornTail simulates a crash mid-append: garbage after the last
@@ -368,5 +405,5 @@ func TestRecreateAfterInterruptedDelete(t *testing.T) {
 	if v.Version != 1 {
 		t.Fatalf("after restart: version %d, want 1", v.Version)
 	}
-	checkAgainstCore(t, v, mesh, nodeset.FromCoords(mesh, grid.XY(7, 0)))
+	verify(t, v, nodeset.FromCoords(mesh, grid.XY(7, 0)))
 }

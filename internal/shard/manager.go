@@ -83,7 +83,7 @@ var nameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // Config tunes a Manager. The zero value is valid: unlimited resident
-// engines and default batching bounds.
+// engines, the default mailbox capacity and compaction threshold.
 type Config struct {
 	// MaxResident bounds how many engines may be resident at once; beyond
 	// it the least-recently-used shards are evicted down to the bound
@@ -95,10 +95,6 @@ type Config struct {
 	// sets, mailboxes, goroutines). Create fails with ErrTooManyMeshes
 	// beyond it. Zero or negative means unlimited.
 	MaxMeshes int
-	// MaxBatch caps how many events one mailbox drain coalesces into a
-	// single engine.Apply, bounding the latency a queued submission can
-	// accrue behind a giant batch. Zero means DefaultMaxBatch.
-	MaxBatch int
 	// Mailbox is the per-shard mailbox capacity in requests; submitters
 	// block (backpressure) once it fills. Zero means DefaultMailbox.
 	Mailbox int
@@ -118,10 +114,14 @@ type Config struct {
 
 // Defaults for the Config knobs.
 const (
-	DefaultMaxBatch     = 4096
 	DefaultMailbox      = 64
 	DefaultCompactBytes = 1 << 20
 )
+
+// maxBatch caps how many events one mailbox drain coalesces into a single
+// engine Apply, bounding the latency a queued submission can accrue
+// behind a giant batch.
+const maxBatch = 4096
 
 // Tenant is the dimension-erased face of a shard: what the manager's
 // bookkeeping and dimension-agnostic callers (listing, deletion, stats)
@@ -160,9 +160,6 @@ type Manager struct {
 
 // NewManager returns an empty manager.
 func NewManager(cfg Config) *Manager {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	if cfg.Mailbox <= 0 {
 		cfg.Mailbox = DefaultMailbox
 	}

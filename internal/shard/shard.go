@@ -219,8 +219,8 @@ func (s *Shard[C, T]) attachWAL(recovered bool) error {
 // snapshot's fault set, then every surviving log batch, walked through
 // kernel.Replay with the replayed version checked against each record's
 // recorded one, so a divergence fails recovery instead of silently
-// serving wrong state. The engine is then built from the final fault set
-// by loadEngine, exactly as rebuild does after an eviction.
+// serving wrong state. The final fault set is then loaded into the empty
+// engine newShard built, in one bulk pass.
 func (s *Shard[C, T]) restore(rec *wal.Recovery[C]) error {
 	start := time.Now()
 	version := rec.Version
@@ -243,13 +243,11 @@ func (s *Shard[C, T]) restore(rec *wal.Recovery[C]) error {
 			return fmt.Errorf("wal replay diverged: version %d at record %d", version, b.Version)
 		}
 	}
-	eng, err := s.loadEngine()
+	snap, err := s.eng.Load(s.faults)
 	if err != nil {
-		return fmt.Errorf("recovery: %v", err)
+		return fmt.Errorf("recovery: replay of the persisted fault set: %v", err)
 	}
-	s.eng = eng
 	shardMetrics.recoverSeconds.ObserveDuration(time.Since(start))
-	snap := eng.Snapshot()
 	s.stats.version = version
 	s.stats.faults = s.faults.Len()
 	s.stats.components = len(snap.Polygons())
@@ -495,11 +493,11 @@ func (s *Shard[C, T]) run() {
 }
 
 // drainInto collects whatever else is already queued behind first, up to
-// the configured event cap, without blocking.
+// maxBatch events, without blocking.
 func (s *Shard[C, T]) drainInto(first *request[C, T]) []*request[C, T] {
 	batch := []*request[C, T]{first}
 	size := len(first.events)
-	for size < s.mgr.cfg.MaxBatch {
+	for size < maxBatch {
 		select {
 		case req, ok := <-s.mailbox:
 			if !ok {
@@ -660,9 +658,13 @@ func (s *Shard[C, T]) rebuild() error {
 		return s.rebuildFail
 	}
 	start := time.Now()
-	eng, err := s.loadEngine()
+	eng, err := s.newEngine(s.mesh)
 	if err != nil {
-		return fmt.Errorf("rebuild: %v", err)
+		return fmt.Errorf("rebuild: engine on mesh validated at create: %v", err)
+	}
+	snap, err := eng.Load(s.faults)
+	if err != nil {
+		return fmt.Errorf("rebuild: replay of the persisted fault set: %v", err)
 	}
 	s.eng = eng
 	shardMetrics.rebuilds.Inc()
@@ -671,31 +673,9 @@ func (s *Shard[C, T]) rebuild() error {
 	s.stats.rebuilds++
 	version := s.stats.version
 	s.statsMu.Unlock()
-	s.view.Store(&View[C, T]{Snapshot: eng.Snapshot(), Version: version})
+	s.view.Store(&View[C, T]{Snapshot: snap, Version: version})
 	nudge(s.mgr.noteResident(s))
 	return nil
-}
-
-// loadEngine builds a fresh engine over the persisted fault set, fed as
-// one batch of arrivals: on an empty engine the kernel builds that in one
-// pass, one component search and one closure per component. Recovery and
-// eviction rebuild share it.
-func (s *Shard[C, T]) loadEngine() (*kernel.Engine[C, T], error) {
-	eng, err := s.newEngine(s.mesh)
-	if err != nil {
-		return nil, fmt.Errorf("engine on mesh validated at create: %v", err)
-	}
-	if s.faults.Empty() {
-		return eng, nil
-	}
-	events := make([]kernel.Event[C], 0, s.faults.Len())
-	s.faults.Each(func(c C) {
-		events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
-	})
-	if _, _, err := eng.Apply(events); err != nil {
-		return nil, fmt.Errorf("replay of the persisted fault set: %v", err)
-	}
-	return eng, nil
 }
 
 // maybeCompact runs the compaction policy at the batch boundary, where

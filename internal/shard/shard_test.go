@@ -16,31 +16,12 @@ import (
 func add(x, y int) engine.Event   { return engine.Event{Op: engine.Add, Node: grid.XY(x, y)} }
 func clear(x, y int) engine.Event { return engine.Event{Op: engine.Clear, Node: grid.XY(x, y)} }
 
-// checkAgainstCore differentially verifies a view against a from-scratch
-// core.Construct over the expected fault set.
-func checkAgainstCore(t *testing.T, v View[grid.Coord, grid.Mesh], mesh grid.Mesh, faults *nodeset.Set) {
+// verify differentially checks a view against a from-scratch
+// core.Construct over the expected fault set (kernel.Snapshot.Verify).
+func verify(t *testing.T, v View[grid.Coord, grid.Mesh], faults *nodeset.Set) {
 	t.Helper()
-	snap := v.Snapshot
-	if !snap.Faults().Equal(faults) {
-		t.Fatalf("fault set diverged: got %v, want %v", snap.Faults(), faults)
-	}
-	ref := core.Construct(mesh, faults, core.Options{Workers: 1})
-	if !snap.Disabled().Equal(ref.Minimum.Disabled) {
-		t.Fatal("disabled set diverged from core.Construct")
-	}
-	if !snap.Unsafe().Equal(ref.Blocks.Unsafe) {
-		t.Fatal("unsafe set diverged from core.Construct")
-	}
-	if len(snap.Polygons()) != len(ref.Minimum.Polygons) {
-		t.Fatalf("%d polygons, core built %d", len(snap.Polygons()), len(ref.Minimum.Polygons))
-	}
-	for i, p := range snap.Polygons() {
-		if !p.Equal(ref.Minimum.Polygons[i]) {
-			t.Fatalf("polygon %d diverged from core.Construct", i)
-		}
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
+	if err := v.Snapshot.Verify(core.Reference(faults)); err != nil {
+		t.Fatalf("%v (faults %v, want %v)", err, v.Snapshot.Faults(), faults)
 	}
 }
 
@@ -181,14 +162,14 @@ func TestShardDifferentialAgainstCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if batch%10 == 9 {
-			checkAgainstCore(t, res.View, mesh, expected)
+			verify(t, res.View, expected)
 		}
 	}
 	v, err := s.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstCore(t, v, mesh, expected)
+	verify(t, v, expected)
 }
 
 // Eviction drops the engine but not the persisted fault set: the rebuilt
@@ -236,7 +217,7 @@ func TestEvictionRebuildPreservesState(t *testing.T) {
 		t.Fatalf("no eviction/rebuild recorded: %+v", st)
 	}
 	expected := nodeset.FromCoords(mesh, grid.XY(2, 2), grid.XY(3, 2), grid.XY(5, 5))
-	checkAgainstCore(t, after, mesh, expected)
+	verify(t, after, expected)
 }
 
 // waitFor polls until cond holds; eviction is asynchronous (the victim's
@@ -318,7 +299,7 @@ func TestConcurrentUseAndDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstCore(t, v, mesh, v.Snapshot.Faults())
+		verify(t, v, v.Snapshot.Faults())
 	}
 }
 

@@ -57,7 +57,7 @@ const headerSize = 8
 
 // maxRecord bounds a single record's payload so a corrupt length field
 // cannot make recovery allocate gigabytes. It comfortably exceeds the
-// largest batch the shard layer coalesces (MaxBatch events).
+// largest batch the shard layer coalesces (its 4096-event maxBatch cap).
 const maxRecord = 64 << 20
 
 // ErrCorrupt reports damage recovery must not paper over: a CRC-valid
