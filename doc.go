@@ -43,7 +43,9 @@
 // events/status/polygon/route/stats routes, with graceful drain on
 // shutdown), cmd/mfpsim -churn and -churn3d and the churn records of
 // -bench-json quantify the incremental-vs-rebuild speedup in both
-// dimensions, and examples/churn is the runnable walkthrough.
+// dimensions from one scenario type (experiments.Churn), every snapshot
+// checked by kernel.Snapshot.Verify against core.Construct or mfp3d.Build,
+// and examples/churn is the runnable walkthrough.
 //
 // The routing plane closes the loop from constructed polygons back to the
 // paper's motivation — routing around them: routing.NewPlanner prepares
