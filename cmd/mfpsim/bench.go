@@ -264,6 +264,19 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 		rep.Add(benchfmt.Record{Name: serveName, Workers: w, Iterations: iters, Seconds: secs})
 	}
 
+	// The planner at e2ebench's route2d scale: a from-scratch build (a
+	// memo miss with no predecessor) and the successor build after a
+	// one-event batch (the miss every route query after churn pays).
+	base, next, err := experiments.PlannerChurn()
+	if err != nil {
+		return nil, err
+	}
+	secs, iters = timeIt(iterations, func() { routing.NewPlanner(base) })
+	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/build", Workers: 1, Iterations: iters, Seconds: secs})
+	prev := routing.NewPlanner(base)
+	secs, iters = timeIt(iterations, func() { routing.NewPlannerFrom(prev, next) })
+	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/next", Workers: 1, Iterations: iters, Seconds: secs})
+
 	// WAL records. Durable serving pays three distinct costs, each timed in
 	// isolation on seeded fixtures under a throwaway directory: append is
 	// the fsync on the acknowledgement path (one coalesced batch logged

@@ -62,6 +62,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	var sawEngine3Allocs, sawEngineBytes bool
 	sawPerEvent := map[int]bool{}
 	var sawRouteSweep, sawRoutePlanner, sawRouteServe bool
+	sawPlannerChurn := map[string]bool{}
 	sawRestart := map[string]bool{}
 	for _, rec := range rep.Records {
 		if strings.HasPrefix(rec.Name, "figure9/random/") && rec.Workers == 1 {
@@ -133,6 +134,9 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		if strings.HasPrefix(rec.Name, "route/serve/") {
 			sawRouteServe = true
 		}
+		if strings.HasPrefix(rec.Name, experiments.PlannerChurnName+"/") {
+			sawPlannerChurn[strings.TrimPrefix(rec.Name, experiments.PlannerChurnName+"/")] = true
+		}
 		if strings.HasPrefix(rec.Name, "restart/") {
 			sawRestart[rec.Name] = true
 		}
@@ -152,7 +156,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	if len(sawPerEvent) != len(sweep) {
 		t.Fatalf("report has per-event records for meshes %v, want all of %v", sawPerEvent, sweep)
 	}
-	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe {
+	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe || !sawPlannerChurn["build"] || !sawPlannerChurn["next"] {
 		t.Fatalf("report misses route workloads: %+v", rep.Records)
 	}
 	for _, cfg := range experiments.RestartLayouts() {

@@ -21,6 +21,10 @@ type stressMetricDeltas struct {
 	evictions     float64
 	rebuilds      float64
 	engineApplied float64
+	// The planner's region counters are reported, not checked: how many
+	// regions a build reuses depends on which fetches follow an eviction.
+	regionsReused float64
+	regionsBuilt  float64
 }
 
 func readStressMetrics() stressMetricDeltas {
@@ -36,6 +40,8 @@ func readStressMetrics() stressMetricDeltas {
 		evictions:     get("shard_evictions_total"),
 		rebuilds:      get("shard_rebuilds_total"),
 		engineApplied: get("engine_events_applied_total", "2"),
+		regionsReused: get("routing_planner_regions_reused_total"),
+		regionsBuilt:  get("routing_planner_regions_built_total"),
 	}
 }
 
@@ -48,6 +54,8 @@ func (a stressMetricDeltas) sub(b stressMetricDeltas) stressMetricDeltas {
 		evictions:     a.evictions - b.evictions,
 		rebuilds:      a.rebuilds - b.rebuilds,
 		engineApplied: a.engineApplied - b.engineApplied,
+		regionsReused: a.regionsReused - b.regionsReused,
+		regionsBuilt:  a.regionsBuilt - b.regionsBuilt,
 	}
 }
 
@@ -120,7 +128,7 @@ func runStress(out io.Writer, cfg experiments.StressConfig) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr,
-		"stress metrics: invariants ok (received=%.0f applied=%.0f batches=%.0f evictions=%.0f rebuilds=%.0f)\n",
-		d.received, d.applied, d.batches, d.evictions, d.rebuilds)
+		"stress metrics: invariants ok (received=%.0f applied=%.0f batches=%.0f evictions=%.0f rebuilds=%.0f); planner regions reused=%.0f built=%.0f\n",
+		d.received, d.applied, d.batches, d.evictions, d.rebuilds, d.regionsReused, d.regionsBuilt)
 	return nil
 }

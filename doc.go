@@ -53,8 +53,10 @@
 // cached polygons instead of re-flooding the disabled union), serves
 // single and batched queries (RouteAll, deterministic at any worker
 // count), and is memoized per shard version so concurrent route queries
-// at one fault state share the preprocessing and the next fault event
-// invalidates it. cmd/mfpd exposes it as POST /meshes/{name}/route,
+// at one fault state share the preprocessing. The next fault event
+// invalidates it, and the following query builds the new version's
+// planner from it (routing.NewPlannerFrom), redoing only the regions the
+// event changed. cmd/mfpd exposes it as POST /v1/meshes/{name}/route,
 // cmd/routesim compares the detour overhead of the FB/FP/MFP models on
 // the same planner machinery, and experiments.RouteSweep (mfpsim -route,
 // the route/* records of -bench-json) sweeps routed stretch and

@@ -189,3 +189,27 @@ func routeCell(m grid.Mesh, cfg RouteConfig, n int, seed int64) []float64 {
 		abnormalPct,
 	}
 }
+
+// PlannerChurnName names the planner-rebuild fixture's bench records.
+const PlannerChurnName = "route/planner/mesh256/faults1300/clustered/seed1"
+
+// PlannerChurn returns the planner-rebuild fixture at e2ebench's route2d
+// scale: a 256×256 mesh holding 1300 clustered faults kept 8 nodes off the
+// border (layout seed 1), loaded into an engine, and the snapshot one
+// event batch later, the batch clearing the median fault in index order.
+// Base's planner is what a shard has memoized when the batch lands; next's
+// is what the following route query builds from it.
+func PlannerChurn() (base, next *engine.Snapshot, err error) {
+	m := grid.New(256, 256)
+	faults := fault.InjectWithMargin(m, fault.Clustered, 1, 1300, 8)
+	e, err := engine.New(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if base, err = e.Load(faults); err != nil {
+		return nil, nil, err
+	}
+	cs := faults.Coords()
+	_, next, err = e.Apply([]engine.Event{{Op: engine.Clear, Node: cs[len(cs)/2]}})
+	return base, next, err
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/kernel"
 	"repro/internal/nodeset"
+	"repro/internal/routing"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
@@ -24,7 +25,9 @@ import (
 // acceptance harness of the shard layer and a reusable soak test. Dozens
 // of independent meshes receive interleaved fault-churn streams from
 // concurrent clients; at checkpoints every shard's snapshot is verified
-// against a from-scratch core.Construct over the expected fault set.
+// against a from-scratch core.Construct over the expected fault set, and
+// its memoized route planner against a planner built from scratch over
+// that construction's disabled set.
 //
 // The scenario is deterministic: every per-shard event stream is a seeded
 // Churn2D sequence, each shard's stream is submitted in order (clients
@@ -162,7 +165,7 @@ func (r *StressReport) String() string {
 		fmt.Fprintf(&b, "checkpoint %d/%d: events=%d applied=%d faults=%d components=%d disabled=%d unsafe=%d digest=%016x\n",
 			cp.Round, len(r.Checkpoints), cp.Events, cp.Applied, cp.Faults, cp.Components, cp.Disabled, cp.Unsafe, cp.Digest)
 	}
-	fmt.Fprintf(&b, "stress OK: %d shard snapshots differentially verified against core.Construct\n", r.Verified)
+	fmt.Fprintf(&b, "stress OK: %d shard snapshots differentially verified against core.Construct, each with its route planner\n", r.Verified)
 	return b.String()
 }
 
@@ -176,7 +179,12 @@ type stressShard struct {
 	faults  *nodeset.Set // expected fault set (driver-side replay)
 	applied uint64       // expected shard version
 	events  int          // cumulative events submitted
+	pairs   []routing.Query
 }
+
+// stressPairs is how many seeded source/destination pairs each shard's
+// planner routes at a checkpoint.
+const stressPairs = 64
 
 // Stress runs the scenario and differentially verifies every shard at
 // every checkpoint. It returns an error describing the first divergence;
@@ -221,11 +229,20 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := rand.New(rand.NewSource(cfg.BaseSeed + int64(i)))
+		pairs := make([]routing.Query, stressPairs)
+		for k := range pairs {
+			pairs[k] = routing.Query{
+				Src: grid.XY(rng.Intn(mesh.W), rng.Intn(mesh.H)),
+				Dst: grid.XY(rng.Intn(mesh.W), rng.Intn(mesh.H)),
+			}
+		}
 		shards[i] = &stressShard{
 			name:   name,
 			shard:  sh,
 			chunks: splitChunks(churn.Sequence(), cfg.Checkpoints),
 			faults: nodeset.New(mesh),
+			pairs:  pairs,
 		}
 	}
 
@@ -234,9 +251,10 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 	for round := 0; round < cfg.Checkpoints; round++ {
 		// Fan this round's chunks out to the clients. Each shard's chunk is
 		// submitted by exactly one client, in stream order, as a series of
-		// BatchSize submissions interleaved with snapshot reads — so shards
-		// progress concurrently while every per-shard history stays
-		// deterministic.
+		// BatchSize submissions interleaved with snapshot reads and planner
+		// fetches — so shards progress concurrently while every per-shard
+		// history stays deterministic, and each planner is built from the
+		// one memoized a batch earlier (from nothing after an eviction).
 		tasks := make(chan *stressShard)
 		var wg sync.WaitGroup
 		var firstErr error
@@ -271,6 +289,10 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 						// concurrent readers (and rebuilds after eviction).
 						if _, err := ss.shard.Read(); err != nil {
 							fail(fmt.Errorf("%s round %d read: %w", ss.name, round+1, err))
+							break
+						}
+						if _, _, _, err := ss.shard.Planner(); err != nil {
+							fail(fmt.Errorf("%s round %d planner: %w", ss.name, round+1, err))
 							break
 						}
 					}
@@ -390,8 +412,10 @@ func crashRecover(old *shard.Manager, mgrCfg shard.Config, dataDir string, shard
 
 // checkpoint replays each shard's round chunk into the driver's expected
 // state, differentially verifies the shard's snapshot against a
-// from-scratch core.Construct (kernel.Snapshot.Verify), and sums the
-// shards into the checkpoint's totals and digest.
+// from-scratch core.Construct (kernel.Snapshot.Verify) and its memoized
+// planner against one built from scratch over the construction's disabled
+// set (routing.Planner.Verify), and sums the shards into the checkpoint's
+// totals and digest.
 func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 	cp := StressCheckpoint{Round: round + 1}
 	digest := fnv.New64a()
@@ -409,7 +433,11 @@ func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 			return cp, fmt.Errorf("%s checkpoint %d: version %d, expected %d applied events",
 				ss.name, round+1, v.Version, ss.applied)
 		}
-		if err := snap.Verify(core.Reference(ss.faults)); err != nil {
+		ref := core.Reference(ss.faults)
+		if err := snap.Verify(ref); err != nil {
+			return cp, fmt.Errorf("%s checkpoint %d: %w", ss.name, round+1, err)
+		}
+		if err := verifyPlanner(ss, ref.Disabled); err != nil {
 			return cp, fmt.Errorf("%s checkpoint %d: %w", ss.name, round+1, err)
 		}
 
@@ -424,6 +452,24 @@ func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 	}
 	cp.Digest = digest.Sum64()
 	return cp, nil
+}
+
+// verifyPlanner checks the shard's memoized route planner, which the
+// round's churn and evictions built from its predecessors, against a
+// planner built from scratch over the oracle's disabled set: the same
+// regions, and the same routes and errors on the shard's pair set.
+func verifyPlanner(ss *stressShard, disabled *nodeset.Set) error {
+	p, v, _, err := ss.shard.Planner()
+	if err != nil {
+		return err
+	}
+	if v.Version != ss.applied {
+		return fmt.Errorf("planner at version %d, expected %d", v.Version, ss.applied)
+	}
+	if err := p.Verify(routing.NewPlannerForBlocked(disabled.Mesh(), disabled), ss.pairs); err != nil {
+		return fmt.Errorf("planner diverged: %w", err)
+	}
+	return nil
 }
 
 // splitChunks cuts a sequence into n contiguous, nearly equal chunks

@@ -35,11 +35,15 @@ func Intersect(a, b *Set) *Set { return kernel.Intersect(a, b) }
 // Subtract returns a new set with the nodes of a that are not in b.
 func Subtract(a, b *Set) *Set { return kernel.Subtract(a, b) }
 
-// Bounds returns the bounding rectangle of the set (empty for an empty
-// set). It is a free function rather than a method because grid.Rect is
-// 2-D-specific while the set type is shared with the 3-D instantiation.
+// Bounds returns the bounding rectangle of the set (grid.EmptyRect for an
+// empty set). It is a free function rather than a method because grid.Rect
+// is 2-D-specific while the set type is shared with the 3-D instantiation;
+// it converts the word-walking kernel.Set.Bounds, so it allocates nothing
+// and makes no per-node call.
 func Bounds(s *Set) grid.Rect {
-	r := grid.EmptyRect()
-	s.Each(func(c grid.Coord) { r = r.Extend(c) })
-	return r
+	b := s.Bounds()
+	if b.Empty() {
+		return grid.EmptyRect()
+	}
+	return grid.Rect{MinX: int(b.Lo[0]), MinY: int(b.Lo[1]), MaxX: int(b.Hi[0]), MaxY: int(b.Hi[1])}
 }

@@ -145,6 +145,38 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// TestBoundsMatchesPerNode pins the word-walking Bounds against its
+// per-node definition (the rectangle extended by every node) on empty,
+// single-node and random sets, on meshes and tori whose widths do and do
+// not fill whole words.
+func TestBoundsMatchesPerNode(t *testing.T) {
+	perNode := func(s *Set) grid.Rect {
+		r := grid.EmptyRect()
+		s.Each(func(c grid.Coord) { r = r.Extend(c) })
+		return r
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []grid.Mesh{grid.New(1, 1), grid.New(10, 7), grid.New(64, 3), grid.New(67, 40), grid.NewTorus(13, 9), grid.NewTorus(64, 64)} {
+		check := func(s *Set) {
+			t.Helper()
+			if got, want := Bounds(s), perNode(s); got != want {
+				t.Fatalf("%v %v: Bounds = %+v, per-node %+v", m, s, got, want)
+			}
+		}
+		check(New(m))
+		for i := 0; i < m.Size(); i += 1 + m.Size()/17 {
+			check(FromCoords(m, m.CoordAt(i)))
+		}
+		for trial := 0; trial < 50; trial++ {
+			s := New(m)
+			for k := rng.Intn(1 + m.Size()/4); k >= 0; k-- {
+				s.Add(m.CoordAt(rng.Intn(m.Size())))
+			}
+			check(s)
+		}
+	}
+}
+
 func TestClear(t *testing.T) {
 	m := grid.New(4, 4)
 	s := FromCoords(m, c(0, 0), c(3, 3))

@@ -30,12 +30,18 @@ func mooreIndex(off grid.Coord) int {
 // when the region touches the border. The walk circulates counterclockwise
 // in this module's Y-north frame, which is the paper's clockwise in its
 // Y-south figures.
-func OuterRing(region *nodeset.Set) []grid.Coord {
+func OuterRing(region *nodeset.Set) []grid.Coord { return AppendOuterRing(nil, region) }
+
+// AppendOuterRing appends the region's boundary ring (see OuterRing) to
+// dst and returns the extended slice, so a caller tracing many regions can
+// reuse one buffer.
+func AppendOuterRing(dst []grid.Coord, region *nodeset.Set) []grid.Coord {
 	start, ok := SouthWestMost(region)
 	if !ok {
-		return nil
+		return dst
 	}
-	var walk []grid.Coord
+	n := len(dst)
+	walk := dst
 
 	p := start
 	b := grid.XY(start.X, start.Y-1) // south of the lowest row: outside
@@ -71,7 +77,7 @@ func OuterRing(region *nodeset.Set) []grid.Coord {
 		}
 		seen[state{p, b}] = true
 	}
-	return canonicalize(trimSeam(walk))
+	return walk[:n+len(canonicalize(trimSeam(walk[n:])))]
 }
 
 // BoundaryWalk returns the cyclic walk of the region's own boundary cells
@@ -143,12 +149,13 @@ func trimSeam(walk []grid.Coord) []grid.Coord {
 }
 
 // canonicalize collapses consecutive duplicates (including across the
-// wrap-around), which represent zero-hop repeats of the same node.
+// wrap-around), which represent zero-hop repeats of the same node. It
+// compacts the walk in place.
 func canonicalize(walk []grid.Coord) []grid.Coord {
 	if len(walk) == 0 {
 		return walk
 	}
-	out := walk[:0:0]
+	out := walk[:0]
 	for _, c := range walk {
 		if len(out) == 0 || out[len(out)-1] != c {
 			out = append(out, c)
@@ -160,17 +167,15 @@ func canonicalize(walk []grid.Coord) []grid.Coord {
 	return out
 }
 
-// SouthWestMost returns the lowest then westmost cell of the region.
+// SouthWestMost returns the lowest then westmost cell of the region. In
+// the row-major index order (y*W + x) that is the region's first index, so
+// no node is visited.
 func SouthWestMost(region *nodeset.Set) (grid.Coord, bool) {
-	found := false
-	var best grid.Coord
-	region.Each(func(c grid.Coord) {
-		if !found || c.Y < best.Y || (c.Y == best.Y && c.X < best.X) {
-			best = c
-			found = true
-		}
-	})
-	return best, found
+	i := region.FirstIndex()
+	if i < 0 {
+		return grid.Coord{}, false
+	}
+	return region.Mesh().CoordAt(i), true
 }
 
 // Holes returns the bounded complement regions enclosed by the region: the

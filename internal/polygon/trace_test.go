@@ -21,6 +21,44 @@ func TestSouthWestMost(t *testing.T) {
 	}
 }
 
+// TestSouthWestMostMatchesPerNode pins SouthWestMost (the set's first
+// row-major index) against its per-node definition, the lowest then
+// westmost node, on empty, single-node and random sets, a torus included.
+func TestSouthWestMostMatchesPerNode(t *testing.T) {
+	perNode := func(s *nodeset.Set) (grid.Coord, bool) {
+		found := false
+		var best grid.Coord
+		s.Each(func(c grid.Coord) {
+			if !found || c.Y < best.Y || (c.Y == best.Y && c.X < best.X) {
+				best, found = c, true
+			}
+		})
+		return best, found
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []grid.Mesh{grid.New(1, 1), grid.New(10, 7), grid.New(67, 40), grid.NewTorus(13, 9)} {
+		check := func(s *nodeset.Set) {
+			t.Helper()
+			got, gotOK := SouthWestMost(s)
+			want, wantOK := perNode(s)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%v %v: SouthWestMost = %v %v, per-node %v %v", m, s, got, gotOK, want, wantOK)
+			}
+		}
+		check(nodeset.New(m))
+		for i := 0; i < m.Size(); i += 1 + m.Size()/17 {
+			check(set(m, m.CoordAt(i)))
+		}
+		for trial := 0; trial < 50; trial++ {
+			s := nodeset.New(m)
+			for k := rng.Intn(1 + m.Size()/4); k >= 0; k-- {
+				s.Add(m.CoordAt(rng.Intn(m.Size())))
+			}
+			check(s)
+		}
+	}
+}
+
 func TestOuterRingSingleton(t *testing.T) {
 	m := grid.New(8, 8)
 	ring := OuterRing(set(m, grid.XY(4, 4)))

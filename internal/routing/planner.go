@@ -1,8 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -20,11 +21,13 @@ import (
 // version, serves any number of concurrent Route/RouteAll calls — the
 // planner is read-only after construction and safe for concurrent use.
 //
-// A Planner built from an engine snapshot (NewPlanner) reuses the
-// snapshot's cached polygons instead of re-flooding the disabled union
-// the way NewPlannerForBlocked does. Either way the ring index is one
-// dense per-mesh slice, and a bounding box per region lets pathBlocked
-// reject non-intersecting regions without scanning the whole e-cube path.
+// A Planner built from an engine snapshot (NewPlanner, NewPlannerFrom)
+// reuses the snapshot's cached polygons instead of re-flooding the
+// disabled union the way NewPlannerForBlocked does, and NewPlannerFrom
+// also keeps the regions and rings of an earlier planner that did not
+// change. Either way the ring index is one dense per-mesh slice, and a
+// bounding box per region lets pathBlocked reject non-intersecting
+// regions without scanning the whole e-cube path.
 type Planner struct {
 	mesh    grid.Mesh
 	blocked *nodeset.Set // union of the regions; shared, read-only
@@ -33,19 +36,32 @@ type Planner struct {
 	bounds  []grid.Rect // nodeset.Bounds(regions[i]), for fast path rejection
 	rings   [][]grid.Coord
 
-	regionOf []int32 // dense node index -> region id, -1 when routable
+	// The snapshot polygons the regions were merged from, in seed order,
+	// index-aligned with their components' seeds, their bounds and the
+	// region holding each: what NewPlannerFrom diffs a later snapshot
+	// against. Nil on a NewPlannerForBlocked planner.
+	polys      []*nodeset.Set
+	seeds      []int
+	polyBounds []grid.Rect
+	polyRegion []int32
 
-	// Dense ring index: ringHead[node index] chains through the flat
-	// ringNext/ringRegion/ringPos arrays, one entry per in-mesh ring cell.
-	// Pinched regions revisit ring cells, so one node can carry several
-	// entries even within a single region; entries are chained in
-	// ascending (region, position) order so occurrence enumeration is
-	// deterministic.
-	ringHead   []int32
-	ringNext   []int32
-	ringRegion []int32
-	ringPos    []int32
+	// node is the dense per-node index, one int32 per mesh node: -(id+1)
+	// for a node of region id, and for a routable node the ring entry its
+	// chain starts at, plus one (0 when it lies on no ring). One array
+	// serves both lookups because no ring cell is blocked: ring cells are
+	// 8-adjacent to their region, so a blocked one would belong to it.
+	node []int32
+
+	// Ring entries, one per in-mesh ring cell, chained per node through
+	// next (an entry index plus one, 0 ending the chain). Pinched regions
+	// revisit ring cells, so one node can carry several entries even within
+	// a single region; entries are chained in ascending (region, position)
+	// order so occurrence enumeration is deterministic.
+	ringEntries []ringEntry
 }
+
+// ringEntry is one occurrence of a node on a region's ring.
+type ringEntry struct{ next, region, pos int32 }
 
 // NewPlanner prepares routing over a live engine snapshot, reusing the
 // snapshot's cached per-component polygons and disabled union instead of
@@ -53,8 +69,32 @@ type Planner struct {
 // touch or overlap once closed; such polygons are merged into one detour
 // region, exactly as a re-flood of the disabled union would, so routes
 // are identical to NewPlannerForBlocked(mesh, snap.Disabled()).
-func NewPlanner(snap *engine.Snapshot) *Planner {
-	return newPlanner(snap.Mesh(), snap.Disabled(), mergeTouching(snap.Mesh(), snap.Polygons()))
+func NewPlanner(snap *engine.Snapshot) *Planner { return NewPlannerFrom(nil, snap) }
+
+// NewPlannerFrom prepares routing over snap like NewPlanner, reusing what
+// prev, a planner of another snapshot of the same mesh, already built.
+// Published polygons are immutable, so the two seed-ordered polygon lists
+// are diffed by pointer: only the polygons prev did not hold are merged
+// with their neighbours again, and every region whose polygons all come
+// unchanged from one prev region, with none of its polygons gone and none
+// joining, keeps prev's union set, bounds and ring. The dense node arrays
+// are refilled from the region list.
+//
+// The result equals NewPlanner(snap) for any prev: nil, a planner of an
+// older or newer version, of an engine since dropped, of another mesh or
+// from NewPlannerForBlocked (the last three share nothing and cost a full
+// build). It holds no reference to prev.
+func NewPlannerFrom(prev *Planner, snap *engine.Snapshot) *Planner {
+	start := time.Now()
+	m := snap.Mesh()
+	if prev != nil && (prev.mesh != m || prev.polys == nil) {
+		prev = nil
+	}
+	p := &Planner{mesh: m, blocked: snap.Disabled()}
+	built := p.mergeRegions(prev, snap.Components(), snap.Polygons())
+	p.indexRings()
+	observeBuild(start, len(p.regions)-built, built)
+	return p
 }
 
 // NewPlannerForBlocked prepares routing around an arbitrary blocked set
@@ -68,75 +108,224 @@ func NewPlannerForBlocked(m grid.Mesh, blocked *nodeset.Set) *Planner {
 	if m.Torus {
 		panic("routing: extended e-cube is defined for non-torus meshes")
 	}
+	start := time.Now()
 	b := blocked.Clone()
-	return newPlanner(m, b, kernel.Regions(b))
+	p := &Planner{mesh: m, blocked: b, regions: kernel.Regions(b)}
+	p.bounds = make([]grid.Rect, len(p.regions))
+	p.rings = make([][]grid.Coord, len(p.regions))
+	var tracer ringTracer
+	for id, reg := range p.regions {
+		p.bounds[id] = nodeset.Bounds(reg)
+		p.rings[id] = tracer.trace(reg)
+	}
+	p.indexRings()
+	observeBuild(start, 0, len(p.regions))
+	return p
 }
 
-// mergeTouching groups per-component polygons whose union is 8-connected
-// and unions each group, so the planner's regions match the 8-connected
-// regions of the disabled union. Separate fault components are 8-separated
-// by definition, but their orthogonal convex closures can grow until they
-// touch or overlap; a ring walked around only one of two touching
-// polygons would cross the other, so touching polygons must detour as one
-// region.
-func mergeTouching(m grid.Mesh, polygons []*nodeset.Set) []*nodeset.Set {
-	n := len(polygons)
-	if n <= 1 {
-		return polygons
+// ringTracer traces the 4-connected boundary rings the router walks
+// around regions, reusing its two buffers from one region to the next, so
+// each ring costs one exactly sized allocation.
+type ringTracer struct{ walk, ring []grid.Coord }
+
+func (t *ringTracer) trace(reg *nodeset.Set) []grid.Coord {
+	t.walk = polygon.AppendOuterRing(t.walk[:0], reg)
+	t.ring = appendExpandedRing(t.ring[:0], reg, t.walk)
+	return slices.Clone(t.ring)
+}
+
+// mergeRegions fills the planner's polygon bookkeeping and its regions,
+// bounds and rings from the snapshot's seed-ordered components and
+// polygons, and returns how many regions it built rather than took from
+// prev (nil for a full build).
+//
+// Polygons whose union is 8-connected form one region, so the regions
+// match the 8-connected regions of the disabled union. Separate fault
+// components are 8-separated by definition, but their orthogonal convex
+// closures can grow until they touch or overlap; a ring walked around
+// only one of two touching polygons would cross the other, so touching
+// polygons must detour as one region. A union-find groups them.
+func (p *Planner) mergeRegions(prev *Planner, comps, polys []*nodeset.Set) (built int) {
+	m := p.mesh
+	n := len(polys)
+	p.polys = polys
+	p.seeds = make([]int, n)
+	p.polyBounds = make([]grid.Rect, n)
+	p.polyRegion = make([]int32, n)
+
+	// from[i] is the prev region polygon i comes from, -1 when prev did not
+	// hold it (and, below, when that region lost a polygon). Both lists are
+	// in seed order, so one merge walk pairs them up.
+	from := make([]int32, n)
+	changed := 0
+	j := 0
+	for i, comp := range comps {
+		seed := comp.FirstIndex()
+		p.seeds[i] = seed
+		from[i] = -1
+		if prev != nil {
+			for j < len(prev.seeds) && prev.seeds[j] < seed {
+				j++
+			}
+			if j < len(prev.seeds) && prev.seeds[j] == seed && prev.polys[j] == polys[i] {
+				from[i] = prev.polyRegion[j]
+				p.polyBounds[i] = prev.polyBounds[j]
+				continue
+			}
+		}
+		p.polyBounds[i] = nodeset.Bounds(polys[i])
+		changed++
 	}
-	parent := make([]int, n)
+
+	// A prev region is intact when the snapshot still holds all of its
+	// polygons. Its polygons are joined untested: they touched each other
+	// in prev and are unchanged. Every other polygon, new or left over from
+	// a region that lost one, is re-merged: it finds its neighbours
+	// through a box index over the polygons' bounds, queried with its own
+	// bounds grown by one cell, and joins each one it touches. A pair of
+	// touching polygons either has a re-merged member or lies in one intact
+	// region, so every touching pair is joined.
+	parent := make([]int32, n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int32) int32 {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	bounds := make([]grid.Rect, n)
-	for i, p := range polygons {
-		bounds[i] = nodeset.Bounds(p)
+	if prev != nil {
+		// missing[r] counts the polygons of prev region r the snapshot no
+		// longer holds; a region is intact when it misses none.
+		missing := make([]int32, len(prev.regions))
+		for _, r := range prev.polyRegion {
+			missing[r]++
+		}
+		for _, r := range from {
+			if r >= 0 {
+				missing[r]--
+			}
+		}
+		joined := make([]int32, len(prev.regions)) // a polygon of each intact region, plus one
+		for i, r := range from {
+			switch {
+			case r < 0:
+			case missing[r] > 0:
+				from[i] = -1
+				changed++
+			case joined[r] == 0:
+				joined[r] = int32(i) + 1
+			default:
+				parent[find(int32(i))] = find(joined[r] - 1)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if find(i) == find(j) || !bounds[i].Grow(1).Intersects(bounds[j]) {
+	if changed > 0 {
+		boxes := make([]kernel.Box, n)
+		for i, b := range p.polyBounds {
+			boxes[i] = boxOf(b)
+		}
+		idx := kernel.NewBoxIndex[grid.Coord](m)
+		idx.Load(boxes)
+		var near []int32
+		for i, poly := range polys {
+			if from[i] >= 0 {
 				continue
 			}
-			if touching8(polygons[i], polygons[j]) {
-				parent[find(j)] = find(i)
+			near = idx.Query(boxOf(p.polyBounds[i].Grow(1).Clamp(m)), near[:0])
+			for _, k := range near {
+				a, b := find(int32(i)), find(k)
+				if a != b && touching8(poly, polys[k]) {
+					parent[b] = a
+				}
 			}
 		}
 	}
-	groups := make(map[int][]int, n)
-	merged := false
-	for i := 0; i < n; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-		merged = merged || r != i
+
+	// One group per union-find root. A group whose polygons all come from
+	// one intact prev region is that region (the region's polygons are
+	// joined to each other, and a re-merged polygon joining them would
+	// reset from), so it is kept: its union set, bounds and ring are
+	// prev's.
+	type group struct {
+		first  int   // the region's first node index
+		from   int32 // the intact prev region it is, or -1
+		bounds grid.Rect
+		set    *nodeset.Set
+		union  *nodeset.Set // set, when it is a union this build allocated
 	}
-	if !merged {
-		return polygons
-	}
-	out := make([]*nodeset.Set, 0, len(groups))
-	for _, members := range groups {
-		if len(members) == 1 {
-			out = append(out, polygons[members[0]])
-			continue
+	groupOf := make([]int32, n) // polygon -> group, by way of its root
+	groups := make([]group, 0, n)
+	for i := range polys {
+		r := find(int32(i))
+		if r == int32(i) {
+			groupOf[i] = int32(len(groups))
+			groups = append(groups, group{from: from[i], bounds: grid.EmptyRect()})
 		}
-		u := nodeset.New(m)
-		for _, i := range members {
-			u.UnionWith(polygons[i])
-		}
-		out = append(out, u)
 	}
-	// Disjoint regions have unique first indices, so this sort alone pins
-	// the row-major seed order kernel.Regions discovers regions in
-	// (map iteration order above does not matter).
-	sort.Slice(out, func(a, b int) bool { return out[a].FirstIndex() < out[b].FirstIndex() })
-	return out
+	for i := range polys {
+		groupOf[i] = groupOf[find(int32(i))]
+		g := &groups[groupOf[i]]
+		if g.from != from[i] {
+			g.from = -1
+		}
+		g.bounds = g.bounds.Union(p.polyBounds[i])
+	}
+	for i, poly := range polys {
+		g := &groups[groupOf[i]]
+		switch {
+		case g.from >= 0:
+			g.set = prev.regions[g.from]
+		case g.set == nil:
+			g.set = poly
+		default:
+			if g.union == nil {
+				g.union = nodeset.New(m)
+				g.union.UnionWith(g.set)
+				g.set = g.union
+			}
+			g.union.UnionWith(poly)
+		}
+	}
+
+	// Disjoint regions have unique first indices, so sorting by them alone
+	// pins the row-major seed order kernel.Regions discovers regions in.
+	order := make([]int32, len(groups))
+	for k := range groups {
+		groups[k].first = groups[k].set.FirstIndex()
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(groups[a].first, groups[b].first) })
+	rank := make([]int32, len(groups))
+	p.regions = make([]*nodeset.Set, len(groups))
+	p.bounds = make([]grid.Rect, len(groups))
+	p.rings = make([][]grid.Coord, len(groups))
+	var tracer ringTracer
+	for id, k := range order {
+		g := &groups[k]
+		rank[k] = int32(id)
+		p.regions[id], p.bounds[id] = g.set, g.bounds
+		if g.from >= 0 {
+			p.rings[id] = prev.rings[g.from]
+		} else {
+			p.rings[id] = tracer.trace(g.set)
+			built++
+		}
+	}
+	for i, k := range groupOf {
+		p.polyRegion[i] = rank[k]
+	}
+	return built
+}
+
+// boxOf converts a non-empty rectangle to the box index's box.
+func boxOf(r grid.Rect) kernel.Box {
+	return kernel.Box{
+		Lo: [3]int32{int32(r.MinX), int32(r.MinY)},
+		Hi: [3]int32{int32(r.MaxX), int32(r.MaxY)},
+	}
 }
 
 // touching8 reports whether the two sets overlap or are 8-adjacent.
@@ -166,52 +355,33 @@ func touching8(a, b *nodeset.Set) bool {
 	return found
 }
 
-// newPlanner builds the dense routing state shared by both construction
-// paths. blocked must be the union of regions; both are retained, not
-// copied.
-func newPlanner(m grid.Mesh, blocked *nodeset.Set, regions []*nodeset.Set) *Planner {
-	start := time.Now()
-	p := &Planner{
-		mesh:     m,
-		blocked:  blocked,
-		regions:  regions,
-		bounds:   make([]grid.Rect, len(regions)),
-		rings:    make([][]grid.Coord, len(regions)),
-		regionOf: make([]int32, m.Size()),
-		ringHead: make([]int32, m.Size()),
-	}
-	for i := range p.regionOf {
-		p.regionOf[i] = -1
-		p.ringHead[i] = -1
-	}
+// indexRings fills the dense node index and the ring entries from the
+// region list.
+func (p *Planner) indexRings() {
+	m := p.mesh
+	p.node = make([]int32, m.Size())
 	total := 0
-	for id, reg := range regions {
-		reg.Each(func(c grid.Coord) { p.regionOf[m.Index(c)] = int32(id) })
-		p.bounds[id] = nodeset.Bounds(reg)
-		p.rings[id] = expandRing(reg, polygon.OuterRing(reg))
+	for id, reg := range p.regions {
+		reg.EachIndex(func(i int) { p.node[i] = -int32(id) - 1 })
 		total += len(p.rings[id])
 	}
-	p.ringNext = make([]int32, 0, total)
-	p.ringRegion = make([]int32, 0, total)
-	p.ringPos = make([]int32, 0, total)
+	p.ringEntries = make([]ringEntry, 0, total)
 	// Prepend entries walking regions and positions backwards, so each
 	// node's chain enumerates in ascending (region, position) order.
-	for id := len(regions) - 1; id >= 0; id-- {
+	for id := len(p.regions) - 1; id >= 0; id-- {
 		ring := p.rings[id]
 		for i := len(ring) - 1; i >= 0; i-- {
 			if !m.Contains(ring[i]) {
 				continue // virtual halo cell of a border region
 			}
 			node := m.Index(ring[i])
-			p.ringNext = append(p.ringNext, p.ringHead[node])
-			p.ringRegion = append(p.ringRegion, int32(id))
-			p.ringPos = append(p.ringPos, int32(i))
-			p.ringHead[node] = int32(len(p.ringNext) - 1)
+			if p.node[node] < 0 {
+				panic(fmt.Sprintf("routing: ring cell %v of region %d is blocked", ring[i], id))
+			}
+			p.ringEntries = append(p.ringEntries, ringEntry{next: p.node[node], region: int32(id), pos: int32(i)})
+			p.node[node] = int32(len(p.ringEntries))
 		}
 	}
-	metricPlannerBuilds.Inc()
-	metricPlannerBuildSeconds.ObserveDuration(time.Since(start))
-	return p
 }
 
 // Mesh returns the planner's mesh.
@@ -230,9 +400,9 @@ func (p *Planner) Regions() []*nodeset.Set { return p.regions }
 // ringPositions appends every position of c on the given region's ring to
 // buf, in ascending order. Pinched regions can list a cell more than once.
 func (p *Planner) ringPositions(region int, c grid.Coord, buf []int) []int {
-	for e := p.ringHead[p.mesh.Index(c)]; e >= 0; e = p.ringNext[e] {
-		if int(p.ringRegion[e]) == region {
-			buf = append(buf, int(p.ringPos[e]))
+	for e := p.node[p.mesh.Index(c)]; e > 0; e = p.ringEntries[e-1].next {
+		if r := p.ringEntries[e-1]; int(r.region) == region {
+			buf = append(buf, int(r.pos))
 		}
 	}
 	return buf
@@ -326,7 +496,7 @@ func (p *Planner) route(src, dst grid.Coord) (*Route, error) {
 		}
 		// Abnormal mode: travel the region's boundary ring until the
 		// region stops affecting the remaining e-cube path.
-		region := int(p.regionOf[p.mesh.Index(next)])
+		region := int(-p.node[p.mesh.Index(next)] - 1)
 		var err error
 		cur, err = p.detour(route, region, cur, dst, t)
 		if err != nil {
@@ -458,4 +628,40 @@ func (p *Planner) RouteAll(queries []Query, workers int) []Result {
 		out[i] = Result{Route: r, Err: err}
 	})
 	return out
+}
+
+// Verify reports the first way the planner differs from ref, a planner of
+// the same blocked set built another way: the region list in order (each
+// region's nodes, bounds and ring), then the route or error of every
+// query, compared hop by hop and byte by byte. It is the differential
+// check of the incremental construction, run by its tests and by the
+// stress gate; its queries are not counted in routing_routes_total.
+func (p *Planner) Verify(ref *Planner, queries []Query) error {
+	if p.mesh != ref.mesh {
+		return fmt.Errorf("routing: planner over %v, reference over %v", p.mesh, ref.mesh)
+	}
+	if len(p.regions) != len(ref.regions) {
+		return fmt.Errorf("routing: %d regions, reference has %d", len(p.regions), len(ref.regions))
+	}
+	for id, reg := range p.regions {
+		switch {
+		case !reg.Equal(ref.regions[id]):
+			return fmt.Errorf("routing: region %d differs: %v, reference %v", id, reg, ref.regions[id])
+		case p.bounds[id] != ref.bounds[id]:
+			return fmt.Errorf("routing: region %d bounds %v, reference %v", id, p.bounds[id], ref.bounds[id])
+		case !slices.Equal(p.rings[id], ref.rings[id]):
+			return fmt.Errorf("routing: region %d ring differs", id)
+		}
+	}
+	for _, q := range queries {
+		got, gerr := p.route(q.Src, q.Dst)
+		want, werr := ref.route(q.Src, q.Dst)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			return fmt.Errorf("routing: %v -> %v: error %v, reference %v", q.Src, q.Dst, gerr, werr)
+		}
+		if gerr == nil && (got.AbnormalHops != want.AbnormalHops || !slices.Equal(got.Hops, want.Hops)) {
+			return fmt.Errorf("routing: %v -> %v: path %v, reference %v", q.Src, q.Dst, got.Path(), want.Path())
+		}
+	}
+	return nil
 }

@@ -40,7 +40,7 @@ func sameRoute(a, b *Route) bool {
 // TestPlannerMatchesLegacyOnSnapshots is the differential gate of the
 // snapshot construction path: a planner built from an engine snapshot
 // (reusing the cached per-component polygons, merging the ones that touch
-// with mergeTouching) must route byte-identically to NewPlannerForBlocked
+// through the box index) must route byte-identically to NewPlannerForBlocked
 // over the snapshot's disabled union, which re-floods it into 8-connected
 // regions from scratch: two different region constructions.
 func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {

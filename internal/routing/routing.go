@@ -105,39 +105,40 @@ func (r *Route) Path() []grid.Coord {
 	return out
 }
 
-// expandRing converts the 8-adjacent boundary walk into a 4-connected cycle
-// messages can follow on mesh links: each diagonal step is split through
-// the intermediate cell that lies outside the region. (Both intermediates
-// cannot be blocked: a second region within one hop of the first would have
-// merged with it under 8-connectivity.)
-func expandRing(region *nodeset.Set, walk []grid.Coord) []grid.Coord {
+// appendExpandedRing appends to dst the 8-adjacent boundary walk converted
+// into a 4-connected cycle messages can follow on mesh links: each
+// diagonal step is split through the intermediate cell that lies outside
+// the region. (Both intermediates cannot be blocked: a second region
+// within one hop of the first would have merged with it under
+// 8-connectivity.)
+func appendExpandedRing(dst []grid.Coord, region *nodeset.Set, walk []grid.Coord) []grid.Coord {
 	if len(walk) < 2 {
-		return walk
+		return append(dst, walk...)
 	}
-	out := make([]grid.Coord, 0, 2*len(walk))
+	n := len(dst)
+	// The expansion may repeat cells where two diagonal steps share an
+	// intermediate; immediate repeats collapse as cells are appended, and
+	// ones across the wrap at the end.
+	push := func(c grid.Coord) {
+		if len(dst) == n || dst[len(dst)-1] != c {
+			dst = append(dst, c)
+		}
+	}
 	for i, c := range walk {
-		out = append(out, c)
+		push(c)
 		next := walk[(i+1)%len(walk)]
 		if c.X != next.X && c.Y != next.Y {
 			mid := grid.XY(c.X, next.Y)
 			if region.Has(mid) {
 				mid = grid.XY(next.X, c.Y)
 			}
-			out = append(out, mid)
+			push(mid)
 		}
 	}
-	// The expansion may repeat cells where two diagonal steps share an
-	// intermediate; collapse immediate repeats including the wrap.
-	dedup := out[:0:0]
-	for _, c := range out {
-		if len(dedup) == 0 || dedup[len(dedup)-1] != c {
-			dedup = append(dedup, c)
-		}
+	for len(dst)-n > 1 && dst[n] == dst[len(dst)-1] {
+		dst = dst[:len(dst)-1]
 	}
-	for len(dedup) > 1 && dedup[0] == dedup[len(dedup)-1] {
-		dedup = dedup[:len(dedup)-1]
-	}
-	return dedup
+	return dst
 }
 
 // classify returns the message type for the current position.

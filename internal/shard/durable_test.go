@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid3"
 	"repro/internal/kernel"
 	"repro/internal/nodeset"
+	"repro/internal/routing"
 )
 
 // durableManager is a manager with durability on and a tiny mailbox-free
@@ -41,7 +42,7 @@ func TestRecoverBuildsOneEngine(t *testing.T) {
 		built++
 		return newEngine2(m)
 	}
-	sh2, err := create(mgr2, "m", mesh, count, newPlanner2, true)
+	sh2, err := create(mgr2, "m", mesh, count, routing.NewPlannerFrom, true)
 	if err != nil {
 		t.Fatal(err)
 	}

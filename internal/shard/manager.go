@@ -178,7 +178,7 @@ func NewManager(cfg Config) *Manager {
 // is built eagerly so an unsupported mesh (torus, empty) fails here, not
 // on first use.
 func (m *Manager) Create(name string, mesh grid.Mesh) (*Shard[grid.Coord, grid.Mesh], error) {
-	return create(m, name, mesh, newEngine2, newPlanner2, false)
+	return create(m, name, mesh, newEngine2, routing.NewPlannerFrom, false)
 }
 
 // Create3 registers a new named 3-D mesh and starts its shard; the mesh is
@@ -218,7 +218,7 @@ func (m *Manager) Recover() ([]string, error) {
 		if meta.Depth > 0 {
 			_, err = create[grid3.Coord](m, name, grid3.New(meta.Width, meta.Height, meta.Depth), newEngine3, nil, true)
 		} else {
-			_, err = create(m, name, grid.New(meta.Width, meta.Height), newEngine2, newPlanner2, true)
+			_, err = create(m, name, grid.New(meta.Width, meta.Height), newEngine2, routing.NewPlannerFrom, true)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: recover %q: %w", name, err)
@@ -240,7 +240,7 @@ func (m *Manager) walDir(name string) string { return filepath.Join(m.cfg.DataDi
 // replayed through the kernel before the shard starts serving.
 func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	newEngine func(T) (*kernel.Engine[C, T], error),
-	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner,
+	newPlanner func(prev *routing.Planner, snap *kernel.Snapshot[C, T]) *routing.Planner,
 	recovered bool) (*Shard[C, T], error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("shard: invalid mesh name %q (want 1-64 chars of [a-zA-Z0-9._-])", name)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/routing"
 )
 
@@ -156,5 +157,47 @@ func TestPlannerRebuiltAfterEviction(t *testing.T) {
 	}
 	if rAfter.Length() != rBefore.Length() || rAfter.AbnormalHops != rBefore.AbnormalHops {
 		t.Fatal("rebuilt planner routes differently")
+	}
+}
+
+// TestPlannerBuiltFromMemoized: the miss after an event batch builds the
+// new version's planner from the memoized one, keeping the regions the
+// batch did not touch, and the result is the planner a from-scratch build
+// of the same snapshot gives.
+func TestPlannerBuiltFromMemoized(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	s, err := m.Create("a", grid.New(24, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply([]engine.Event{add(3, 3), add(4, 4), add(12, 12), add(18, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.Planner(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply([]engine.Event{add(13, 13)}); err != nil {
+		t.Fatal(err)
+	}
+	reused := func() float64 { v, _ := obs.Default.Value("routing_planner_regions_reused_total"); return v }
+	before := reused()
+	p, v, hit, err := s.Planner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("post-churn query cannot be a cache hit")
+	}
+	if got := reused() - before; got != 2 {
+		t.Fatalf("the successor reused %g regions, want the 2 the batch did not touch", got)
+	}
+	queries := []routing.Query{
+		{Src: grid.XY(0, 4), Dst: grid.XY(23, 4)},
+		{Src: grid.XY(0, 12), Dst: grid.XY(23, 13)},
+		{Src: grid.XY(18, 0), Dst: grid.XY(18, 23)},
+	}
+	if err := p.Verify(routing.NewPlanner(v.Snapshot), queries); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -108,9 +108,10 @@ type Shard[C any, T kernel.Topology[C]] struct {
 	// newEngine builds (and rebuilds after eviction) the shard's engine;
 	// it carries the per-dimension constructor (engine.New / engine3.New).
 	newEngine func(T) (*kernel.Engine[C, T], error)
-	// newPlanner prepares a routing planner from a snapshot; nil when the
-	// topology has no routing plane (3-D meshes).
-	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner
+	// newPlanner prepares a routing planner from a snapshot, reusing what
+	// prev (the last memoized planner, possibly nil or of another version)
+	// built; nil when the topology has no routing plane (3-D meshes).
+	newPlanner func(prev *routing.Planner, snap *kernel.Snapshot[C, T]) *routing.Planner
 
 	mailbox chan *request[C, T]
 	done    chan struct{}
@@ -164,7 +165,7 @@ type counters struct {
 
 func newShard[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	newEngine func(T) (*kernel.Engine[C, T], error),
-	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner) (*Shard[C, T], error) {
+	newPlanner func(prev *routing.Planner, snap *kernel.Snapshot[C, T]) *routing.Planner) (*Shard[C, T], error) {
 	eng, err := newEngine(mesh)
 	if err != nil {
 		return nil, err
@@ -333,7 +334,9 @@ func (s *Shard[C, T]) Peek() (View[C, T], bool) {
 // cache hit. One planner is memoized per shard version: concurrent route
 // queries at the same version share the preprocessing (rings, region
 // index), a fault event moves the version and invalidates the entry for
-// free, and eviction drops it with the engine. Like Read, calling Planner
+// free, and eviction drops it with the engine. A miss builds the new
+// version's planner from the memoized one (routing.NewPlannerFrom), so
+// its cost follows the regions the intervening events changed. Like Read, calling Planner
 // on an evicted shard forces a rebuild. On a topology without a routing
 // plane (3-D meshes) it fails with ErrNoPlanner.
 func (s *Shard[C, T]) Planner() (*routing.Planner, View[C, T], bool, error) {
@@ -345,8 +348,8 @@ func (s *Shard[C, T]) Planner() (*routing.Planner, View[C, T], bool, error) {
 	if err != nil {
 		return nil, View[C, T]{}, false, err
 	}
-	p, hit := s.planners.get(epoch, v.Version, func(*routing.Planner) *routing.Planner {
-		return s.newPlanner(v.Snapshot)
+	p, hit := s.planners.get(epoch, v.Version, func(prev *routing.Planner) *routing.Planner {
+		return s.newPlanner(prev, v.Snapshot)
 	})
 	s.noteRoute(hit, !hit)
 	return p, v, hit, nil
@@ -724,10 +727,9 @@ func (s *Shard[C, T]) lastUsedLoad() uint64   { return s.lastUsed.Load() }
 func (s *Shard[C, T]) evictPendingLoad() bool { return s.evictPending.Load() }
 func (s *Shard[C, T]) evictPendingMark()      { s.evictPending.Store(true) }
 
-// newEngine2 and newPlanner2 are the 2-D shard's per-dimension hooks.
+// newEngine2 is the 2-D shard's engine hook; its planner hook is
+// routing.NewPlannerFrom.
 func newEngine2(m grid.Mesh) (*kernel.Engine[grid.Coord, grid.Mesh], error) { return engine.New(m) }
-
-func newPlanner2(snap *engine.Snapshot) *routing.Planner { return routing.NewPlanner(snap) }
 
 // newEngine3 is the 3-D shard's engine hook; 3-D shards have no planner
 // hook (routing is 2-D-only).
