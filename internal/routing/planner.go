@@ -25,9 +25,9 @@ import (
 // reuses the snapshot's cached polygons instead of re-flooding the
 // disabled union the way NewPlannerForBlocked does, and NewPlannerFrom
 // also keeps the regions and rings of an earlier planner that did not
-// change. Either way the ring index is one dense per-mesh slice, and a
-// bounding box per region lets pathBlocked reject non-intersecting
-// regions without scanning the whole e-cube path.
+// change. Either way one dense per-node index answers both the region and
+// the ring lookups, and a bounding box per region lets pathBlocked reject
+// non-intersecting regions without scanning the whole e-cube path.
 type Planner struct {
 	mesh    grid.Mesh
 	blocked *nodeset.Set // union of the regions; shared, read-only
@@ -77,8 +77,8 @@ func NewPlanner(snap *engine.Snapshot) *Planner { return NewPlannerFrom(nil, sna
 // are diffed by pointer: only the polygons prev did not hold are merged
 // with their neighbours again, and every region whose polygons all come
 // unchanged from one prev region, with none of its polygons gone and none
-// joining, keeps prev's union set, bounds and ring. The dense node arrays
-// are refilled from the region list.
+// joining, keeps prev's union set, bounds and ring. The dense node index
+// is refilled from the region list.
 //
 // The result equals NewPlanner(snap) for any prev: nil, a planner of an
 // older or newer version, of an engine since dropped, of another mesh or
