@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/grid3"
 	"repro/internal/kernel"
+	"repro/internal/routing"
 	"repro/internal/shard"
 )
 
@@ -80,4 +82,45 @@ func postFuzzEvents[C any, T kernel.Topology[C]](t *testing.T, srv *server, sh *
 	if err := v.Snapshot.Validate(); err != nil {
 		t.Fatalf("%s: snapshot invariants broken after body %q: %v", sh.Mesh(), data, err)
 	}
+}
+
+// FuzzRouteReply compares the route reply appenders with their
+// encoding/json references: a single-pair reply over a synthetic
+// trajectory, and a batch whose odd pairs failed with the fuzzed error
+// text (escaped exactly as encoding/json escapes it, HTML escaping
+// included).
+func FuzzRouteReply(f *testing.F) {
+	f.Add(uint64(5), true, 1, 4, 10, 4, 18, 7, "routing: endpoints (0,0) -> (40,0) outside mesh 12x12")
+	f.Add(uint64(0), false, -1, 0, 3, 3, 0, 0, `<>&"\ `+"\x00\x01\b\f\n\r\t\x1f\x7f")
+	f.Add(^uint64(0), true, 255, 0, 0, 255, 300, 299, "\xff\xfe bad \xc3 utf-8 \u2028\u2029 é 日本 \xed\xa0\x80")
+	f.Add(uint64(1), false, 2047, 2047, -5, 9, -1, -3, "")
+	f.Fuzz(func(t *testing.T, version uint64, hit bool, sx, sy, dx, dy, length, abnormal int, msg string) {
+		route := &routing.Route{Src: grid.XY(sx, sy), Dst: grid.XY(dx, dy), AbnormalHops: abnormal}
+		for k := 0; k < length&63; k++ {
+			route.Hops = append(route.Hops, routing.Hop{To: grid.XY(sx+k*dx, sy-k*dy)})
+		}
+		if got, want := appendRouteReply(nil, version, hit, route), referenceRouteReply(version, hit, route); !bytes.Equal(got, want) {
+			t.Fatalf("route reply\n got %s\nwant %s", got, want)
+		}
+
+		reply := batchRouteReply{Version: version, CacheHit: hit, Routes: []batchRouteResult{}}
+		got := appendBatchHead(nil, version, hit)
+		for i := 0; i < abnormal&7; i++ {
+			res := batchRouteResult{Length: length + i, AbnormalHops: abnormal - i}
+			var err error
+			if i%2 == 1 {
+				err = errors.New(msg)
+				res.Error = msg
+			}
+			reply.Routes = append(reply.Routes, res)
+			if i > 0 {
+				got = append(got, ',')
+			}
+			got = appendBatchResult(got, res.Length, res.AbnormalHops, err)
+		}
+		got = append(got, "]}\n"...)
+		if want := referenceJSON(reply); !bytes.Equal(got, want) {
+			t.Fatalf("batch reply\n got %s\nwant %s", got, want)
+		}
+	})
 }

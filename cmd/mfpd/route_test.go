@@ -1,21 +1,81 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/routing"
 	"repro/internal/shard"
 )
+
+// The reference encoders: the route replies as reflected struct shapes, so
+// the appenders' output can be compared byte for byte with what
+// encoding/json writes for the same reply.
+
+func toXY(c grid.Coord) xy { return xy{c.X, c.Y} }
+
+// routeReply answers a single-pair query with the full trajectory.
+type routeReply struct {
+	// Version is the shard version the route was computed against;
+	// CacheHit reports whether the query reused a memoized planner.
+	Version      uint64 `json:"version"`
+	CacheHit     bool   `json:"cache_hit"`
+	Src          xy     `json:"src"`
+	Dst          xy     `json:"dst"`
+	Length       int    `json:"length"`
+	AbnormalHops int    `json:"abnormal_hops"`
+	Path         []xy   `json:"path"`
+}
+
+// batchRouteReply answers a batched query with per-pair outcomes (hop
+// counts, not full paths).
+type batchRouteReply struct {
+	Version  uint64             `json:"version"`
+	CacheHit bool               `json:"cache_hit"`
+	Routes   []batchRouteResult `json:"routes"`
+}
+
+type batchRouteResult struct {
+	Length       int    `json:"length"`
+	AbnormalHops int    `json:"abnormal_hops"`
+	Error        string `json:"error,omitempty"`
+}
+
+// referenceRouteReply encodes the single-pair reply through encoding/json.
+func referenceRouteReply(version uint64, hit bool, route *routing.Route) []byte {
+	path := make([]xy, 0, route.Length()+1)
+	for _, c := range route.Path() {
+		path = append(path, toXY(c))
+	}
+	return referenceJSON(routeReply{
+		Version: version, CacheHit: hit,
+		Src: toXY(route.Src), Dst: toXY(route.Dst),
+		Length: route.Length(), AbnormalHops: route.AbnormalHops,
+		Path: path,
+	})
+}
+
+// referenceJSON encodes v the way the reflection-based writeJSON does.
+func referenceJSON(v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
 
 func postRoute(t *testing.T, ts *httptest.Server, mesh, body string) (*http.Response, []byte) {
 	t.Helper()
@@ -315,4 +375,88 @@ func TestRouteBadRequests(t *testing.T) {
 			t.Fatalf("status %d, want 404", resp.StatusCode)
 		}
 	})
+}
+
+// TestRouteRepliesMatchReference serves single and batched queries over a
+// clustered fault set and compares every reply byte for byte with the
+// encoding/json reference built from the same planner's full routes (a
+// batch pair's error text included), and its Content-Length with the
+// body.
+func TestRouteRepliesMatchReference(t *testing.T) {
+	mgr := shard.NewManager(shard.Config{})
+	defer mgr.Close()
+	m := grid.New(40, 40)
+	sh, err := mgr.Create("m", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []engine.Event
+	fault.InjectWithMargin(m, fault.Clustered, 3, 120, 3).Each(func(c grid.Coord) {
+		events = append(events, engine.Event{Op: engine.Add, Node: c})
+	})
+	if _, err := sh.Apply(events); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(mgr)
+	serve := func(body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/meshes/m/route", strings.NewReader(body)))
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		return rec.Body.Bytes()
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([]routing.Query, 64)
+	var batch strings.Builder
+	batch.WriteString(`{"pairs":[`)
+	for i := range pairs {
+		// Some endpoints fall off the mesh, so error texts with '>' are
+		// part of the batch.
+		pairs[i] = routing.Query{
+			Src: grid.XY(rng.Intn(m.W+2)-1, rng.Intn(m.H)),
+			Dst: grid.XY(rng.Intn(m.W), rng.Intn(m.H+2)-1),
+		}
+		if i > 0 {
+			batch.WriteString(",")
+		}
+		fmt.Fprintf(&batch, `{"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`, pairs[i].Src.X, pairs[i].Src.Y, pairs[i].Dst.X, pairs[i].Dst.Y)
+	}
+	batch.WriteString(`]}`)
+	got := serve(batch.String())
+
+	planner, v, _, err := sh.Planner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := batchRouteReply{Version: v.Version, CacheHit: true, Routes: make([]batchRouteResult, len(pairs))}
+	failed, routed := 0, 0
+	for i, res := range planner.RouteAll(pairs, 1) {
+		if res.Err != nil {
+			reply.Routes[i] = batchRouteResult{Error: res.Err.Error()}
+			failed++
+			continue
+		}
+		reply.Routes[i] = batchRouteResult{Length: res.Route.Length(), AbnormalHops: res.Route.AbnormalHops}
+		if res.Route.AbnormalHops > 0 {
+			routed++
+		}
+		single := fmt.Sprintf(`{"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`, pairs[i].Src.X, pairs[i].Src.Y, pairs[i].Dst.X, pairs[i].Dst.Y)
+		if got, want := serve(single), referenceRouteReply(v.Version, true, res.Route); !bytes.Equal(got, want) {
+			t.Fatalf("single %v -> %v:\n got %s\nwant %s", pairs[i].Src, pairs[i].Dst, got, want)
+		}
+	}
+	if failed == 0 || routed == 0 {
+		t.Fatalf("fixture has %d failed and %d detouring pairs; want both", failed, routed)
+	}
+	// The batch was the first query at this version: a planner miss.
+	reply.CacheHit = false
+	if want := referenceJSON(reply); !bytes.Equal(got, want) {
+		t.Fatalf("batch reply\n got %s\nwant %s", got, want)
+	}
 }

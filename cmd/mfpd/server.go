@@ -14,7 +14,6 @@ import (
 	"repro/internal/grid3"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/routing"
 	"repro/internal/shard"
 )
 
@@ -71,10 +70,10 @@ type server struct {
 	mgr *shard.Manager
 	// routeSem is the server-wide budget of batch-routing workers (one
 	// token per CPU): each batched /route request grabs as many tokens as
-	// are free (blocking only for the first) and sizes its RouteAll pool
-	// accordingly, so an idle server gives one batch full parallelism
-	// while concurrent batches share the machine instead of each spawning
-	// a GOMAXPROCS-wide pool of their own.
+	// are free (blocking only for the first) and measures its pairs on
+	// that many workers, so an idle server gives one batch full
+	// parallelism while concurrent batches share the machine instead of
+	// each spawning a GOMAXPROCS-wide pool of their own.
 	routeSem chan struct{}
 }
 
@@ -427,14 +426,6 @@ func handleStatus[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Re
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// xy is the wire shape of a 2-D coordinate in route requests and replies.
-type xy struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-}
-
-func toXY(c grid.Coord) xy { return xy{c.X, c.Y} }
-
 // handlePolygons serves every component's faults and minimum polygon
 // (polytope in 3-D). The body comes from the shard's per-version memo,
 // which re-encodes only the components that changed since the last
@@ -448,142 +439,17 @@ func handlePolygons[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.
 		writeShardError(w, err)
 		return
 	}
+	writeBody(w, body)
+}
+
+// writeBody sends a complete JSON reply body with status 200 and a
+// Content-Length, in one Write.
+func writeBody(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-// routeRequest is the /route body: either one pair (src + dst) or a batch
-// (pairs), never both.
-type routeRequest struct {
-	Src   *xy         `json:"src,omitempty"`
-	Dst   *xy         `json:"dst,omitempty"`
-	Pairs []routePair `json:"pairs,omitempty"`
-}
-
-type routePair struct {
-	Src xy `json:"src"`
-	Dst xy `json:"dst"`
-}
-
-// routeReply answers a single-pair query with the full trajectory.
-type routeReply struct {
-	// Version is the shard version the route was computed against;
-	// CacheHit reports whether the query reused a memoized planner.
-	Version      uint64 `json:"version"`
-	CacheHit     bool   `json:"cache_hit"`
-	Src          xy     `json:"src"`
-	Dst          xy     `json:"dst"`
-	Length       int    `json:"length"`
-	AbnormalHops int    `json:"abnormal_hops"`
-	Path         []xy   `json:"path"`
-}
-
-// batchRouteReply answers a batched query with per-pair outcomes (hop
-// counts, not full paths — a batch exists to amortize, not to stream
-// trajectories).
-type batchRouteReply struct {
-	Version  uint64             `json:"version"`
-	CacheHit bool               `json:"cache_hit"`
-	Routes   []batchRouteResult `json:"routes"`
-}
-
-type batchRouteResult struct {
-	Length       int    `json:"length"`
-	AbnormalHops int    `json:"abnormal_hops"`
-	Error        string `json:"error,omitempty"`
-}
-
-// routeStatus maps a routing failure onto its HTTP status and error code:
-// a disabled endpoint is a conflict with the mesh's current fault state
-// (it can heal), an undeliverable route (border detour, exhausted hop
-// budget) is a semantically valid request the current topology cannot
-// satisfy, and anything else (endpoints off the mesh) is a bad request.
-func routeStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, routing.ErrBlockedEndpoint):
-		return http.StatusConflict, codeBlockedEndpoint
-	case errors.Is(err, routing.ErrBorderRegion), errors.Is(err, routing.ErrHopBudget):
-		return http.StatusUnprocessableEntity, codeUndeliverable
-	default:
-		return http.StatusBadRequest, codeBadRequest
-	}
-}
-
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard[grid.Coord, grid.Mesh]) {
-	if r.Method != http.MethodPost {
-		writeMethodNotAllowed(w, "POST", `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
-		return
-	}
-	var req routeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouteBody))
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeError(w, fmt.Errorf("bad route request: %w", err))
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "trailing data after route request")
-		return
-	}
-	single := req.Src != nil || req.Dst != nil
-	if single == (len(req.Pairs) > 0) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "provide either src+dst or pairs")
-		return
-	}
-	if single && (req.Src == nil || req.Dst == nil) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "single queries need both src and dst")
-		return
-	}
-	if len(req.Pairs) > maxRoutePairs {
-		writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge, "batch of %d pairs exceeds %d", len(req.Pairs), maxRoutePairs)
-		return
-	}
-
-	planner, v, hit, err := sh.Planner()
-	if err != nil {
-		writeShardError(w, err)
-		return
-	}
-
-	if single {
-		src, dst := grid.XY(req.Src.X, req.Src.Y), grid.XY(req.Dst.X, req.Dst.Y)
-		route, err := planner.Route(src, dst)
-		if err != nil {
-			status, code := routeStatus(err)
-			writeError(w, status, code, "%v", err)
-			return
-		}
-		path := make([]xy, 0, route.Length()+1)
-		for _, c := range route.Path() {
-			path = append(path, toXY(c))
-		}
-		writeJSON(w, http.StatusOK, routeReply{
-			Version: v.Version, CacheHit: hit,
-			Src: *req.Src, Dst: *req.Dst,
-			Length: route.Length(), AbnormalHops: route.AbnormalHops,
-			Path: path,
-		})
-		return
-	}
-
-	queries := make([]routing.Query, len(req.Pairs))
-	for i, p := range req.Pairs {
-		queries[i] = routing.Query{Src: grid.XY(p.Src.X, p.Src.Y), Dst: grid.XY(p.Dst.X, p.Dst.Y)}
-	}
-	workers := s.acquireRouteWorkers(min(len(queries), cap(s.routeSem)))
-	results := planner.RouteAll(queries, workers)
-	s.releaseRouteWorkers(workers)
-	reply := batchRouteReply{Version: v.Version, CacheHit: hit, Routes: make([]batchRouteResult, len(results))}
-	for i, res := range results {
-		if res.Err != nil {
-			reply.Routes[i] = batchRouteResult{Error: res.Err.Error()}
-			continue
-		}
-		reply.Routes[i] = batchRouteResult{Length: res.Route.Length(), AbnormalHops: res.Route.AbnormalHops}
-	}
-	writeJSON(w, http.StatusOK, reply)
 }
 
 type statsReply struct {

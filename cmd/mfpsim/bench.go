@@ -240,29 +240,34 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	// each pool size; the planner record isolates the preprocessing one
 	// planner cache miss pays; the serve record isolates steady-state
 	// query serving — one prepared planner answering a fixed RouteAll
-	// batch. All three derive from the route config, whose names encode
-	// the scale, so reports at different settings never cross-compare.
-	routeName := fmt.Sprintf("%s/faults%s", route.Name(), faultsLabel(route.FaultCounts))
+	// batch; the measure records time the same batch answered the way
+	// mfpd answers one, with count-only Planner.Measure calls, and count
+	// its allocations. All derive from the route config, whose names
+	// encode the scale, so reports at different settings never
+	// cross-compare.
+	names := routeRecordNames(route)
 	for _, w := range counts {
 		route.Workers = w
 		secs, iters := timeIt(iterations, func() { experiments.RouteSweep(route) })
-		rep.Add(benchfmt.Record{Name: routeName, Workers: w, Iterations: iters, Seconds: secs})
+		rep.Add(benchfmt.Record{Name: names.sweep, Workers: w, Iterations: iters, Seconds: secs})
 	}
 
-	serveFaults := route.FaultCounts[len(route.FaultCounts)-1]
-	snap, queries := routeServeFixture(route, serveFaults)
+	snap, queries := routeServeFixture(route)
 	var planner *routing.Planner
 	secs, iters := timeIt(iterations, func() { planner = routing.NewPlanner(snap) })
-	rep.Add(benchfmt.Record{
-		Name:       fmt.Sprintf("route/planner/mesh%d/faults%d/seed1", route.MeshSize, serveFaults),
-		Workers:    1,
-		Iterations: iters, Seconds: secs,
-	})
-	serveName := fmt.Sprintf("route/serve/mesh%d/faults%d/seed1/msgs%d", route.MeshSize, serveFaults, len(queries))
+	rep.Add(benchfmt.Record{Name: names.planner, Workers: 1, Iterations: iters, Seconds: secs})
 	for _, w := range counts {
 		secs, iters := timeIt(iterations, func() { planner.RouteAll(queries, w) })
-		rep.Add(benchfmt.Record{Name: serveName, Workers: w, Iterations: iters, Seconds: secs})
+		rep.Add(benchfmt.Record{Name: names.serve, Workers: w, Iterations: iters, Seconds: secs})
 	}
+	measure := func() {
+		for _, q := range queries {
+			planner.Measure(q.Src, q.Dst)
+		}
+	}
+	secs, iters = timeIt(iterations, measure)
+	rep.Add(benchfmt.Record{Name: names.measure, Workers: 1, Iterations: iters, Seconds: secs})
+	rep.Add(measureAllocsRecord(names.measureAllocs, len(queries), measure))
 
 	// The planner at e2ebench's route2d scale: a from-scratch build (a
 	// memo miss with no predecessor) and the successor build after a
@@ -895,14 +900,36 @@ func compareBenchReport(baselinePath string, current *benchfmt.Report, tolerance
 	return benchfmt.Diff(baseline, current, tolerance), nil
 }
 
+// routeServeQueries is the size of the route-serving fixture's batch.
+const routeServeQueries = 2000
+
+// routeNames are the route-serving records' names at a route config's
+// scale; the serve and measure fixtures use its largest fault count.
+type routeNames struct {
+	sweep, planner, serve, measure, measureAllocs string
+}
+
+func routeRecordNames(route experiments.RouteConfig) routeNames {
+	faults := route.FaultCounts[len(route.FaultCounts)-1]
+	fixture := fmt.Sprintf("mesh%d/faults%d/seed1", route.MeshSize, faults)
+	batch := fmt.Sprintf("%s/msgs%d", fixture, routeServeQueries)
+	return routeNames{
+		sweep:         fmt.Sprintf("%s/faults%s", route.Name(), faultsLabel(route.FaultCounts)),
+		planner:       "route/planner/" + fixture,
+		serve:         "route/serve/" + batch,
+		measure:       "route/measure/" + batch,
+		measureAllocs: "route/measure/" + batch + "/allocs",
+	}
+}
+
 // routeServeFixture prepares the serving benchmark at the route config's
-// scale: the engine snapshot of a fixed clustered fault set (seed 1, kept
-// off the border by the config's margin), plus a seeded batch of 2000
-// query pairs drawn from the whole mesh (blocked endpoints included —
-// rejecting them is part of serving).
-func routeServeFixture(route experiments.RouteConfig, faultCount int) (*engine.Snapshot, []routing.Query) {
+// scale: the engine snapshot of a fixed clustered fault set (seed 1, the
+// config's largest fault count, kept off the border by its margin), plus a
+// seeded batch of routeServeQueries pairs drawn from the whole mesh
+// (blocked endpoints included — rejecting them is part of serving).
+func routeServeFixture(route experiments.RouteConfig) (*engine.Snapshot, []routing.Query) {
 	m := grid.New(route.MeshSize, route.MeshSize)
-	faults := fault.InjectWithMargin(m, fault.Clustered, 1, faultCount, route.Margin)
+	faults := fault.InjectWithMargin(m, fault.Clustered, 1, route.FaultCounts[len(route.FaultCounts)-1], route.Margin)
 	e, err := engine.New(m)
 	if err != nil {
 		panic(fmt.Sprintf("mfpsim: route fixture: %v", err))
@@ -912,7 +939,7 @@ func routeServeFixture(route experiments.RouteConfig, faultCount int) (*engine.S
 		panic(fmt.Sprintf("mfpsim: route fixture: %v", err))
 	}
 	rng := rand.New(rand.NewSource(1))
-	queries := make([]routing.Query, 2000)
+	queries := make([]routing.Query, routeServeQueries)
 	for i := range queries {
 		queries[i] = routing.Query{
 			Src: grid.XY(rng.Intn(m.W), rng.Intn(m.H)),
@@ -920,6 +947,26 @@ func routeServeFixture(route experiments.RouteConfig, faultCount int) (*engine.S
 		}
 	}
 	return snap, queries
+}
+
+// measureAllocsRecord counts the heap allocations per query of batch,
+// which measures that many routes, as a machine-independent counter
+// (unit "allocs/query"). Planner.Measure allocates nothing, so the record
+// reads 0, and -bench-compare flags any count against that zero baseline.
+func measureAllocsRecord(name string, queries int, batch func()) benchfmt.Record {
+	batch() // warm up
+	const rounds = 8
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < rounds; i++ {
+		batch()
+	}
+	runtime.ReadMemStats(&ms)
+	return benchfmt.Record{
+		Name: name, Workers: 1, Iterations: rounds,
+		Seconds: float64(ms.Mallocs-before) / float64(rounds*queries), Unit: "allocs/query",
+	}
 }
 
 // printBenchSummary renders the report's speedup column for the terminal;

@@ -61,7 +61,8 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	var sawChurn3Rebuild, sawChurn3Incremental, sawChurn3BigIncremental bool
 	var sawEngine3Allocs, sawEngineBytes bool
 	sawPerEvent := map[int]bool{}
-	var sawRouteSweep, sawRoutePlanner, sawRouteServe bool
+	var sawRouteSweep, sawRoutePlanner, sawRouteServe, sawRouteMeasure, sawMeasureAllocs bool
+	measureNames := routeRecordNames(route)
 	sawPlannerChurn := map[string]bool{}
 	sawRestart := map[string]bool{}
 	for _, rec := range rep.Records {
@@ -134,6 +135,16 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		if strings.HasPrefix(rec.Name, "route/serve/") {
 			sawRouteServe = true
 		}
+		if rec.Name == measureNames.measure {
+			sawRouteMeasure = true
+		}
+		if rec.Name == measureNames.measureAllocs {
+			sawMeasureAllocs = true
+			if rec.Unit != "allocs/query" || rec.Seconds != 0 {
+				t.Fatalf("Measure allocates: %+v, want 0 allocs/query", rec)
+			}
+			continue
+		}
 		if strings.HasPrefix(rec.Name, experiments.PlannerChurnName+"/") {
 			sawPlannerChurn[strings.TrimPrefix(rec.Name, experiments.PlannerChurnName+"/")] = true
 		}
@@ -156,7 +167,8 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	if len(sawPerEvent) != len(sweep) {
 		t.Fatalf("report has per-event records for meshes %v, want all of %v", sawPerEvent, sweep)
 	}
-	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe || !sawPlannerChurn["build"] || !sawPlannerChurn["next"] {
+	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe || !sawRouteMeasure || !sawMeasureAllocs ||
+		!sawPlannerChurn["build"] || !sawPlannerChurn["next"] {
 		t.Fatalf("report misses route workloads: %+v", rep.Records)
 	}
 	for _, cfg := range experiments.RestartLayouts() {

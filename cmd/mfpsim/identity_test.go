@@ -10,14 +10,15 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 )
 
-// identityPrefixes select the baseline records the churn scenarios and the
-// engine allocs records produce.
-var identityPrefixes = []string{"churn/", "churn3d/", "churn2d/", "engine/apply/", "engine3/apply/"}
+// identityPrefixes select the baseline records the churn scenarios, the
+// engine allocs records and the route-serving workloads produce.
+var identityPrefixes = []string{"churn/", "churn3d/", "churn2d/", "engine/apply/", "engine3/apply/", "route/"}
 
-// TestBenchIdentities pins the workload identities of the churn and allocs
-// records. benchfmt only logs a record that vanished from a report as
+// TestBenchIdentities pins the workload identities of the churn, allocs
+// and route records. benchfmt only logs a record that vanished from a report as
 // retired, so a renamed record would pass the bench gate without ever
 // being compared; this test fails instead. It also pins each default
 // scenario's event stream by digest, so a record keeping its name cannot
@@ -67,6 +68,10 @@ func TestBenchIdentities(t *testing.T) {
 	for _, rec := range rep.Records {
 		got = append(got, rec.Name)
 	}
+	// The route records at `make bench-baseline`'s scale (BENCH_TRIALS=5).
+	route := routeRecordNames(experiments.DefaultRoute(fault.Clustered, 5))
+	got = append(got, route.sweep, route.planner, route.serve, route.measure, route.measureAllocs,
+		experiments.PlannerChurnName+"/build", experiments.PlannerChurnName+"/next")
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -51,9 +51,10 @@
 // paper's motivation — routing around them: routing.NewPlanner prepares
 // extended e-cube routing directly from an engine snapshot (reusing its
 // cached polygons instead of re-flooding the disabled union), serves
-// single and batched queries (RouteAll, deterministic at any worker
-// count), and is memoized per shard version so concurrent route queries
-// at one fault state share the preprocessing. The next fault event
+// single queries as full trajectories (Route) and batched ones as hop
+// counts walked without recording a trajectory (Measure), and is
+// memoized per shard version so concurrent route queries at one fault
+// state share the preprocessing. The next fault event
 // invalidates it, and the following query builds the new version's
 // planner from it (routing.NewPlannerFrom), redoing only the regions the
 // event changed. cmd/mfpd exposes it as POST /v1/meshes/{name}/route,

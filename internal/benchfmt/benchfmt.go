@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -212,7 +213,9 @@ type Comparison struct {
 // Improvements (a sign the baseline should be re-recorded); every other
 // pair — missing on either side, or carrying a zero/negative measurement
 // that would make the ratio Inf/NaN — produces an explicit Skip verdict
-// instead of being silently ignored.
+// instead of being silently ignored. The one exception is a counter
+// record whose baseline is zero: it holds while the count stays zero and
+// regresses, with an infinite ratio, as soon as it does not.
 //
 // When both reports carry CalibrationSeconds, every wall-clock ratio
 // (Unit == "") is multiplied by baseline.CalibrationSeconds /
@@ -243,6 +246,13 @@ func Diff(baseline, current *Report, tolerance float64) Comparison {
 		switch {
 		case !ok:
 			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipNoBaseline})
+		case base == 0 && rec.Unit != "":
+			// A counter pinned at zero (an allocation-free path) has no
+			// ratio to form: any count at all is the regression.
+			if rec.Seconds > 0 {
+				out.Regressions = append(out.Regressions,
+					Regression{Name: rec.Name, Workers: rec.Workers, Old: base, New: rec.Seconds, Ratio: math.Inf(1), Unit: rec.Unit})
+			}
 		case base <= 0:
 			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipZeroBaseline})
 		case rec.Seconds <= 0:

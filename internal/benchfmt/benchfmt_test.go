@@ -271,6 +271,26 @@ func TestUnitRecords(t *testing.T) {
 	}
 }
 
+// TestZeroCounterRecords: a counter whose baseline is zero is gated, not
+// skipped: zero again is no verdict, any count is a regression.
+func TestZeroCounterRecords(t *testing.T) {
+	base := New("go1.21", 1)
+	base.Add(Record{Name: "allocs", Workers: 1, Seconds: 0, Unit: "allocs/query"})
+	cur := New("go1.21", 1)
+	cur.Add(Record{Name: "allocs", Workers: 1, Seconds: 0, Unit: "allocs/query"})
+	if got := Diff(base, cur, 1.3); len(got.Regressions) != 0 || len(got.Improvements) != 0 || len(got.Skipped) != 0 {
+		t.Fatalf("zero counter against zero baseline produced verdicts: %+v", got)
+	}
+	cur.Records[0].Seconds = 0.01
+	got := Diff(base, cur, 1.3)
+	if len(got.Regressions) != 1 || !math.IsInf(got.Regressions[0].Ratio, 1) {
+		t.Fatalf("counter leaving zero not flagged: %+v", got)
+	}
+	if s := got.Regressions[0].String(); !strings.Contains(s, "allocs/query") {
+		t.Fatalf("regression string lost the unit: %q", s)
+	}
+}
+
 // TestCalibrationUnitDeterministic: the yardstick must return the same
 // checksum every run — any data dependence on time, randomness or kernel
 // code would desynchronize archived calibrations.

@@ -92,9 +92,11 @@ func (c StressConfig) validate() error {
 		return fmt.Errorf("experiments: invalid stress config %+v", c)
 	}
 	perShard := c.Events / c.Shards
-	if warm := stressWarmup(c.MeshSize); perShard <= warm {
-		return fmt.Errorf("experiments: %d events over %d shards is below the %d-fault warm-up per shard",
-			c.Events, c.Shards, warm)
+	for i := 0; i < c.Shards && i < 4; i++ {
+		if warm := stressWarmup(c.MeshSize, i); perShard <= warm {
+			return fmt.Errorf("experiments: %d events over %d shards is below the %d-fault warm-up of shard %d",
+				c.Events, c.Shards, warm, i)
+		}
 	}
 	if c.Crash && c.DataDir == "" {
 		return fmt.Errorf("experiments: stress Crash mode requires a DataDir to recover from")
@@ -102,10 +104,17 @@ func (c StressConfig) validate() error {
 	return nil
 }
 
-// stressWarmup is the steady-state fault target per shard: the paper's 1%
-// density, at least one fault.
-func stressWarmup(meshSize int) int {
-	if f := meshSize * meshSize / 100; f > 1 {
+// stressWarmup is shard i's steady-state fault target: the paper's 1%
+// density (at least one fault) on three shards of every four, and 20% on
+// the fourth. Uniform faults that dense grow closures that touch, so those
+// shards' route planners merge polygons of separate components into one
+// detour region, which the sparse shards never do.
+func stressWarmup(meshSize, shard int) int {
+	pct := 1
+	if shard%4 == 3 {
+		pct = 20
+	}
+	if f := meshSize * meshSize * pct / 100; f > 1 {
 		return f
 	}
 	return 1
@@ -119,8 +128,11 @@ type StressCheckpoint struct {
 	Applied    uint64 // cumulative state-changing events (sum of shard versions)
 	Faults     int
 	Components int
-	Disabled   int
-	Unsafe     int
+	// Regions sums the route planners' detour regions: fewer than
+	// Components when some region holds several touching polygons.
+	Regions  int
+	Disabled int
+	Unsafe   int
 	// Digest chains every shard's full verified state (fault, disabled and
 	// unsafe sets, polygon count, version) in shard order.
 	Digest uint64
@@ -162,8 +174,8 @@ func (r *StressReport) String() string {
 	fmt.Fprintf(&b, "stress: shards=%d mesh=%dx%d events=%d checkpoints=%d batch=%d seed=%d\n",
 		c.Shards, c.MeshSize, c.MeshSize, c.Events, c.Checkpoints, c.BatchSize, c.BaseSeed)
 	for _, cp := range r.Checkpoints {
-		fmt.Fprintf(&b, "checkpoint %d/%d: events=%d applied=%d faults=%d components=%d disabled=%d unsafe=%d digest=%016x\n",
-			cp.Round, len(r.Checkpoints), cp.Events, cp.Applied, cp.Faults, cp.Components, cp.Disabled, cp.Unsafe, cp.Digest)
+		fmt.Fprintf(&b, "checkpoint %d/%d: events=%d applied=%d faults=%d components=%d regions=%d disabled=%d unsafe=%d digest=%016x\n",
+			cp.Round, len(r.Checkpoints), cp.Events, cp.Applied, cp.Faults, cp.Components, cp.Regions, cp.Disabled, cp.Unsafe, cp.Digest)
 	}
 	fmt.Fprintf(&b, "stress OK: %d shard snapshots differentially verified against core.Construct, each with its route planner\n", r.Verified)
 	return b.String()
@@ -215,14 +227,14 @@ func Stress(cfg StressConfig) (*StressReport, error) {
 
 	// Precompute every shard's deterministic stream and register the
 	// shards. Streams reuse the churn generator: warm-up arrivals to the
-	// steady-state density, then arrival/repair churn.
-	warm := stressWarmup(cfg.MeshSize)
+	// shard's steady-state density, then arrival/repair churn.
 	shards := make([]*stressShard, cfg.Shards)
 	for i := range shards {
 		per := cfg.Events / cfg.Shards
 		if i < cfg.Events%cfg.Shards {
 			per++
 		}
+		warm := stressWarmup(cfg.MeshSize, i)
 		churn := Churn2D(cfg.MeshSize, warm, per-warm, cfg.BaseSeed+int64(i)*1_000_003)
 		name := fmt.Sprintf("mesh-%03d", i)
 		sh, err := mgr.Create(name, mesh)
@@ -437,7 +449,8 @@ func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 		if err := snap.Verify(ref); err != nil {
 			return cp, fmt.Errorf("%s checkpoint %d: %w", ss.name, round+1, err)
 		}
-		if err := verifyPlanner(ss, ref.Disabled); err != nil {
+		regions, err := verifyPlanner(ss, ref.Disabled)
+		if err != nil {
 			return cp, fmt.Errorf("%s checkpoint %d: %w", ss.name, round+1, err)
 		}
 
@@ -445,6 +458,7 @@ func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 		cp.Applied += v.Version
 		cp.Faults += snap.Faults().Len()
 		cp.Components += len(snap.Polygons())
+		cp.Regions += regions
 		cp.Disabled += snap.Disabled().Len()
 		cp.Unsafe += snap.Unsafe().Len()
 		fmt.Fprintf(digest, "%s|%d|%v|%v|%v|%d\n",
@@ -457,19 +471,20 @@ func checkpoint(shards []*stressShard, round int) (StressCheckpoint, error) {
 // verifyPlanner checks the shard's memoized route planner, which the
 // round's churn and evictions built from its predecessors, against a
 // planner built from scratch over the oracle's disabled set: the same
-// regions, and the same routes and errors on the shard's pair set.
-func verifyPlanner(ss *stressShard, disabled *nodeset.Set) error {
+// regions, and the same routes, hop counts and errors on the shard's pair
+// set. It returns the planner's region count.
+func verifyPlanner(ss *stressShard, disabled *nodeset.Set) (int, error) {
 	p, v, _, err := ss.shard.Planner()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if v.Version != ss.applied {
-		return fmt.Errorf("planner at version %d, expected %d", v.Version, ss.applied)
+		return 0, fmt.Errorf("planner at version %d, expected %d", v.Version, ss.applied)
 	}
 	if err := p.Verify(routing.NewPlannerForBlocked(disabled.Mesh(), disabled), ss.pairs); err != nil {
-		return fmt.Errorf("planner diverged: %w", err)
+		return 0, fmt.Errorf("planner diverged: %w", err)
 	}
-	return nil
+	return len(p.Regions()), nil
 }
 
 // splitChunks cuts a sequence into n contiguous, nearly equal chunks

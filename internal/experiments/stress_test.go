@@ -139,3 +139,21 @@ func TestDefaultStressMeetsAcceptanceScale(t *testing.T) {
 		t.Fatalf("default stress below the acceptance floor: %+v", cfg)
 	}
 }
+
+// The default scenario must reach the planner's merge path: some
+// checkpoint holds a detour region made of several polygons, so the stress
+// gate's planner check sees polygons of separate components joined.
+func TestDefaultStressMergesPlannerRegions(t *testing.T) {
+	cfg := DefaultStress()
+	cfg.Clients = 2
+	rep, err := Stress(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range rep.Checkpoints {
+		if cp.Regions < cp.Components {
+			return
+		}
+	}
+	t.Fatalf("no checkpoint merged polygons into one region:\n%s", rep)
+}

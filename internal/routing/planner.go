@@ -459,19 +459,59 @@ func (p *Planner) Route(src, dst grid.Coord) (*Route, error) {
 	return r, err
 }
 
+// Measure walks the same route as Route and returns only its length and
+// abnormal hop count, or the error Route would return. It records no
+// trajectory and allocates nothing on success, so a caller that needs the
+// counts alone (a batch reply) pays for the walk and nothing else.
+func (p *Planner) Measure(src, dst grid.Coord) (length, abnormal int, err error) {
+	length, abnormal, err = p.measure(src, dst)
+	routeOutcome(err).Inc()
+	return length, abnormal, err
+}
+
 func (p *Planner) route(src, dst grid.Coord) (*Route, error) {
+	if err := p.checkEndpoints(src, dst); err != nil {
+		return nil, err
+	}
+	// Detours add little beyond the Manhattan distance on meshes of convex
+	// regions, so one allocation sized with some slack holds most routes.
+	dist := abs(dst.X-src.X) + abs(dst.Y-src.Y)
+	route := &Route{Src: src, Dst: dst, Hops: make([]Hop, 0, dist+dist/4+32)}
+	if _, _, err := p.walk(route, src, dst); err != nil {
+		return nil, err
+	}
+	return route, nil
+}
+
+func (p *Planner) measure(src, dst grid.Coord) (length, abnormal int, err error) {
+	if err := p.checkEndpoints(src, dst); err != nil {
+		return 0, 0, err
+	}
+	return p.walk(nil, src, dst)
+}
+
+// checkEndpoints rejects a query whose source or destination is off the
+// mesh or blocked.
+func (p *Planner) checkEndpoints(src, dst grid.Coord) error {
 	if !p.mesh.Contains(src) || !p.mesh.Contains(dst) {
-		return nil, fmt.Errorf("routing: endpoints %v -> %v outside %v", src, dst, p.mesh)
+		return fmt.Errorf("routing: endpoints %v -> %v outside %v", src, dst, p.mesh)
 	}
 	if p.blocked.Has(src) || p.blocked.Has(dst) {
-		return nil, ErrBlockedEndpoint
+		return ErrBlockedEndpoint
 	}
-	route := &Route{Src: src, Dst: dst}
+	return nil
+}
+
+// walk runs the extended e-cube route between two valid endpoints and
+// returns its length and abnormal hop count. When route is non-nil the
+// hops are appended to it and its AbnormalHops set; the nil form only
+// counts, which is what Measure serves.
+func (p *Planner) walk(route *Route, src, dst grid.Coord) (length, abnormal int, err error) {
 	budget := 6*p.mesh.Size() + 16
 	cur := src
 	for cur != dst {
-		if len(route.Hops) > budget {
-			return nil, ErrHopBudget
+		if length > budget {
+			return 0, 0, ErrHopBudget
 		}
 		t := classify(cur, dst)
 		var dir grid.Direction
@@ -487,23 +527,38 @@ func (p *Planner) route(src, dst grid.Coord) (*Route, error) {
 		}
 		next, ok := p.mesh.Step(cur, dir)
 		if !ok {
-			return nil, fmt.Errorf("routing: e-cube step off the mesh at %v", cur)
+			return 0, 0, fmt.Errorf("routing: e-cube step off the mesh at %v", cur)
 		}
 		if !p.blocked.Has(next) {
-			route.Hops = append(route.Hops, Hop{From: cur, To: next, Type: t})
+			if route != nil {
+				route.Hops = append(route.Hops, Hop{From: cur, To: next, Type: t})
+			}
+			length++
 			cur = next
 			continue
 		}
 		// Abnormal mode: travel the region's boundary ring until the
 		// region stops affecting the remaining e-cube path.
 		region := int(-p.node[p.mesh.Index(next)] - 1)
-		var err error
-		cur, err = p.detour(route, region, cur, dst, t)
-		if err != nil {
-			return nil, err
+		out := p.detour(route, region, cur, dst, t)
+		if out.err != nil {
+			return 0, 0, out.err
 		}
+		length += out.hops
+		abnormal += out.hops
+		cur = out.end
 	}
-	return route, nil
+	if route != nil {
+		route.AbnormalHops = abnormal
+	}
+	return length, abnormal, nil
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // walkOutcome is one dry-run of a ring walk: where it ended, in how many
@@ -540,7 +595,6 @@ func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t M
 		}
 		if route != nil {
 			route.Hops = append(route.Hops, Hop{From: cur, To: next, Type: t, Abnormal: true})
-			route.AbnormalHops++
 		}
 		hops++
 		cur = next
@@ -550,19 +604,20 @@ func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t M
 }
 
 // detour walks the boundary ring of the region from cur until the message
-// becomes normal again, appending abnormal hops. The ring of a pinched
-// region revisits cells, so cur can hold several ring positions; each
-// occurrence continues along a different boundary arc, and committing to
-// the first one blindly can drag the message through a dead-end spur (or
-// the long way around the pinch). The walk is therefore dry-run from every
-// occurrence first and replayed from the one that re-normalizes in the
-// fewest hops — for the common simple-ring case (one occurrence) this is
-// exactly the single walk.
-func (p *Planner) detour(route *Route, id int, cur, dst grid.Coord, t MessageType) (grid.Coord, error) {
+// becomes normal again, appending abnormal hops to route when it is
+// non-nil. The ring of a pinched region revisits cells, so cur can hold
+// several ring positions; each occurrence continues along a different
+// boundary arc, and committing to the first one blindly can drag the
+// message through a dead-end spur (or the long way around the pinch). The
+// walk is therefore dry-run from every occurrence first and replayed from
+// the one that re-normalizes in the fewest hops — for the common
+// simple-ring case (one occurrence) this is exactly the single walk, and
+// without a route the winning dry run is the outcome.
+func (p *Planner) detour(route *Route, id int, cur, dst grid.Coord, t MessageType) walkOutcome {
 	var occBuf [4]int
 	occ := p.ringPositions(id, cur, occBuf[:0])
 	if len(occ) == 0 {
-		return cur, fmt.Errorf("routing: node %v is not on the ring of region %d", cur, id)
+		return walkOutcome{end: cur, err: fmt.Errorf("routing: node %v is not on the ring of region %d", cur, id)}
 	}
 	dir := orientation(t, cur, dst)
 	start := occ[0]
@@ -573,9 +628,11 @@ func (p *Planner) detour(route *Route, id int, cur, dst grid.Coord, t MessageTyp
 				best, start = alt, o
 			}
 		}
+		if route == nil {
+			return best
+		}
 	}
-	out := p.walkRing(route, id, start, cur, dst, t, dir)
-	return out.end, out.err
+	return p.walkRing(route, id, start, cur, dst, t, dir)
 }
 
 // better reports whether walk outcome a beats b: successful walks beat
@@ -633,7 +690,8 @@ func (p *Planner) RouteAll(queries []Query, workers int) []Result {
 // Verify reports the first way the planner differs from ref, a planner of
 // the same blocked set built another way: the region list in order (each
 // region's nodes, bounds and ring), then the route or error of every
-// query, compared hop by hop and byte by byte. It is the differential
+// query, compared hop by hop and byte by byte, and the planner's Measure
+// of the query against the reference route's counts and error. It is the differential
 // check of the incremental construction, run by its tests and by the
 // stress gate; its queries are not counted in routing_routes_total.
 func (p *Planner) Verify(ref *Planner, queries []Query) error {
@@ -661,6 +719,14 @@ func (p *Planner) Verify(ref *Planner, queries []Query) error {
 		}
 		if gerr == nil && (got.AbnormalHops != want.AbnormalHops || !slices.Equal(got.Hops, want.Hops)) {
 			return fmt.Errorf("routing: %v -> %v: path %v, reference %v", q.Src, q.Dst, got.Path(), want.Path())
+		}
+		length, abnormal, merr := p.measure(q.Src, q.Dst)
+		if fmt.Sprint(merr) != fmt.Sprint(werr) {
+			return fmt.Errorf("routing: %v -> %v: measure error %v, reference %v", q.Src, q.Dst, merr, werr)
+		}
+		if werr == nil && (length != want.Length() || abnormal != want.AbnormalHops) {
+			return fmt.Errorf("routing: %v -> %v: measured %d hops (%d abnormal), reference %d (%d)",
+				q.Src, q.Dst, length, abnormal, want.Length(), want.AbnormalHops)
 		}
 	}
 	return nil

@@ -187,6 +187,38 @@ func TestPinchedRingSlotDestination(t *testing.T) {
 	}
 }
 
+// borderWall is a wall touching the south border of a mesh of at least
+// 9×6: a route from (2,2) to (14,2) must detour through the virtual halo
+// row below the mesh.
+func borderWall(m grid.Mesh) *nodeset.Set {
+	wall := nodeset.New(m)
+	for y := 0; y < 6; y++ {
+		wall.Add(grid.XY(8, y))
+	}
+	return wall
+}
+
+// livelockShape is a non-convex multi-bar shape (found by search) on a
+// 16×16 mesh that livelocks the extended e-cube walk from (0,6) to (10,0):
+// the message keeps re-encountering the region until the hop budget trips.
+func livelockShape(m grid.Mesh) *nodeset.Set {
+	blocked := nodeset.New(m)
+	for y := 6; y <= 10; y++ {
+		blocked.Add(grid.XY(7, y))
+	}
+	for x := 2; x <= 9; x++ {
+		blocked.Add(grid.XY(x, 12))
+	}
+	for x := 6; x <= 11; x++ {
+		blocked.Add(grid.XY(x, 14))
+	}
+	blocked.Add(grid.XY(5, 11))
+	blocked.Add(grid.XY(9, 11))
+	blocked.Add(grid.XY(5, 13))
+	blocked.Add(grid.XY(9, 13))
+	return blocked
+}
+
 func TestPlannerErrorPaths(t *testing.T) {
 	m := grid.New(16, 16)
 
@@ -201,39 +233,16 @@ func TestPlannerErrorPaths(t *testing.T) {
 	})
 
 	t.Run("border region", func(t *testing.T) {
-		// A wall touching the south border: the detour needs the virtual
-		// halo row below the mesh.
-		wall := nodeset.New(m)
-		for y := 0; y < 6; y++ {
-			wall.Add(grid.XY(8, y))
-		}
-		p := NewPlannerForBlocked(m, wall)
+		p := NewPlannerForBlocked(m, borderWall(m))
 		if _, err := p.Route(grid.XY(2, 2), grid.XY(14, 2)); !errors.Is(err, ErrBorderRegion) {
 			t.Fatalf("border detour: got %v", err)
 		}
 	})
 
 	t.Run("hop budget", func(t *testing.T) {
-		// A non-convex multi-bar shape (found by search) that livelocks the
-		// extended e-cube walk: the message keeps re-encountering the region
-		// until the hop budget trips. Convex regions never do this — the
-		// budget is the router's defence against callers that skip the MFP
-		// construction.
-		blocked := nodeset.New(m)
-		for y := 6; y <= 10; y++ {
-			blocked.Add(grid.XY(7, y))
-		}
-		for x := 2; x <= 9; x++ {
-			blocked.Add(grid.XY(x, 12))
-		}
-		for x := 6; x <= 11; x++ {
-			blocked.Add(grid.XY(x, 14))
-		}
-		blocked.Add(grid.XY(5, 11))
-		blocked.Add(grid.XY(9, 11))
-		blocked.Add(grid.XY(5, 13))
-		blocked.Add(grid.XY(9, 13))
-		p := NewPlannerForBlocked(m, blocked)
+		// Convex regions never livelock: the budget is the router's
+		// defence against callers that skip the MFP construction.
+		p := NewPlannerForBlocked(m, livelockShape(m))
 		if _, err := p.Route(grid.XY(0, 6), grid.XY(10, 0)); !errors.Is(err, ErrHopBudget) {
 			t.Fatalf("livelock shape: got %v", err)
 		}
