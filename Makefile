@@ -97,15 +97,21 @@ route-check:
 # internal/kernel/exhaustive_test.go over every fault set of a 20-node 2-D
 # mesh (5x4, about a million states) and an 18-node 3-D mesh (3x3x2), each
 # state checked against the from-scratch constructions. Tier-1 runs the
-# same walk at 16 and 12 nodes. CI runs this on every PR.
+# same walk at 16 and 12 nodes. Then the route census of
+# internal/routing/census_test.go: all-pairs routes around every fault set
+# of a 4x4 box in an 8x8 mesh, under minimum faulty polygons and faulty
+# blocks, with the channel-dependency-graph cycle counts pinned (tier-1
+# takes the 3x3 box). CI runs this on every PR.
 exhaustive-check:
 	$(GO) test -count=1 -timeout 30m -run '^TestExhaustive' ./internal/kernel -args -exhaustive-large
+	$(GO) test -count=1 -timeout 30m -run '^TestRouteCensus$$' -v ./internal/routing -args -exhaustive-large
 
 # One iteration of every Go benchmark, no unit tests — the CI smoke run.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Timing sweep across worker-pool sizes; writes $(BENCH_OUT) for archival.
+# One-worker timing sweep at GOMAXPROCS=1 (mfpsim pins it); writes
+# $(BENCH_OUT) for archival.
 bench-json:
 	$(GO) run ./cmd/mfpsim -bench-json -trials $(BENCH_TRIALS) -bench-out $(BENCH_OUT)
 

@@ -27,24 +27,12 @@ import (
 	"repro/internal/wal"
 )
 
-// benchWorkerCounts returns the worker-pool sizes the -bench-json mode
-// times: the powers of two from 1 up to limit, plus limit itself, so the
-// report always contains the serial baseline and the full-machine run.
-func benchWorkerCounts(limit int) []int {
-	if limit < 1 {
-		limit = 1
-	}
-	var out []int
-	for w := 1; w < limit; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, limit)
-}
-
 // minSample is the shortest total measurement timeIt accepts: sub-10ms
 // single-shot timings are dominated by timer and scheduler noise, which
-// made back-to-back identical runs trip the -bench-compare tolerance.
-const minSample = 100 * time.Millisecond
+// made back-to-back identical runs trip the -bench-compare tolerance. It
+// is a variable only so the package's tests, which check what a report
+// holds rather than what it reads, can shorten it.
+var minSample = 100 * time.Millisecond
 
 // timeSamples is how many minSample-long measurements timeIt takes; it
 // reports the fastest. Contention — co-tenants, GC, frequency dips —
@@ -53,12 +41,12 @@ const minSample = 100 * time.Millisecond
 // tolerance instead of absorbing the noise floor.
 const timeSamples = 3
 
-// timeIt runs fn at least `iterations` times, doubling the count until the
-// whole measurement spans minSample (like testing.B's calibration), then
-// repeats the measurement timeSamples times in all and returns the fastest
-// mean wall-clock seconds of one run plus the iteration count used.
-func timeIt(iterations int, fn func()) (float64, int) {
-	n := iterations
+// timeIt runs fn once, doubling the count until the whole measurement
+// spans minSample (like testing.B's calibration), then repeats the
+// measurement timeSamples times in all and returns the fastest mean
+// wall-clock seconds of one run plus the iteration count used.
+func timeIt(fn func()) (float64, int) {
+	n := 1
 	var best float64
 	for {
 		start := time.Now()
@@ -92,14 +80,14 @@ func timeIt(iterations int, fn func()) (float64, int) {
 const benchPasses = 2
 
 // runBenchSweepBest runs the full sweep benchPasses times and keeps each
-// record's fastest measurement (and the fastest calibration), then
-// recomputes every derived speedup from the merged times. Contention only
-// ever slows a measurement down, so per-record minimum over well-spaced
-// passes estimates what the code costs, not what the machine was doing.
-func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
+// record's fastest measurement (and the fastest calibration). Contention
+// only ever slows a measurement down, so per-record minimum over
+// well-spaced passes estimates what the code costs, not what the machine
+// was doing.
+func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig) (*benchfmt.Report, error) {
 	var best *benchfmt.Report
 	for p := 0; p < benchPasses; p++ {
-		rep, err := runBenchSweep(models, figures, cfg, churn, churn3s, sweep, route, iterations, maxWorkers)
+		rep, err := runBenchSweep(models, figures, cfg, churn, churn3s, sweep, route)
 		if err != nil {
 			return nil, err
 		}
@@ -110,74 +98,31 @@ func runBenchSweepBest(models []fault.Model, figures []int, cfg experiments.Conf
 		if rep.CalibrationSeconds < best.CalibrationSeconds {
 			best.CalibrationSeconds = rep.CalibrationSeconds
 		}
-		type key struct {
-			name    string
-			workers int
-			unit    string
-		}
+		type key struct{ name, unit string }
 		cur := map[key]benchfmt.Record{}
 		for _, rec := range rep.Records {
-			cur[key{rec.Name, rec.Workers, rec.Unit}] = rec
+			cur[key{rec.Name, rec.Unit}] = rec
 		}
 		for i := range best.Records {
 			b := &best.Records[i]
-			if rec, ok := cur[key{b.Name, b.Workers, b.Unit}]; ok && rec.Seconds < b.Seconds {
+			if rec, ok := cur[key{b.Name, b.Unit}]; ok && rec.Seconds < b.Seconds {
 				b.Seconds = rec.Seconds
 				b.Iterations = rec.Iterations
 			}
 		}
 	}
-	best.ComputeSpeedups()
-	recomputeStrategySpeedups(best)
 	return best, nil
 }
 
-// recomputeStrategySpeedups refills the churn records' speedups after a
-// ComputeSpeedups pass. Their speedups are cross-strategy (rebuild over
-// incremental), not cross-worker, so they must be recomputed from the
-// merged minima of the two sibling records — and an incremental-only
-// record (rebuild infeasible at that scale) has no pair to form a ratio
-// from, so the 1.0 ComputeSpeedups stamped on it (every Workers==1
-// record is its own worker baseline) is cleared back to "no speedup".
-func recomputeStrategySpeedups(rep *benchfmt.Report) {
-	byName := map[string]float64{}
-	for _, rec := range rep.Records {
-		if rec.Unit == "" && rec.Workers == 1 {
-			byName[rec.Name] = rec.Seconds
-		}
-	}
-	for i := range rep.Records {
-		rec := &rep.Records[i]
-		if !strings.HasSuffix(rec.Name, "/incremental") {
-			continue
-		}
-		sibling := strings.TrimSuffix(rec.Name, "/incremental") + "/rebuild"
-		if rebuild, ok := byName[sibling]; ok && rec.Seconds > 0 {
-			rec.Speedup = rebuild / rec.Seconds
-		} else if !ok {
-			rec.Speedup = 0
-		}
-	}
-}
-
 // runBenchSweep times every requested figure sweep, plus the paper's
-// largest single construction (mfp.Build on 800 clustered faults) at each
-// worker count, plus the churn scenario (incremental engine vs full
-// rebuild per event), plus the per-event churn cost at each mesh size of
-// sweep, plus the route-serving workloads derived from the route config,
-// and returns the report with speedups filled in.
-// maxWorkers caps the timed pool sizes (the -workers flag); zero means up
-// to one worker per CPU.
-func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig, iterations, maxWorkers int) (*benchfmt.Report, error) {
-	if iterations < 1 {
-		iterations = 1
-	}
-	limit := runtime.GOMAXPROCS(0)
-	if maxWorkers > 0 {
-		limit = maxWorkers
-	}
+// largest single construction (mfp.Build on 800 clustered faults), plus
+// the churn scenario (incremental engine vs full rebuild per event), plus
+// the per-event churn cost at each mesh size of sweep, plus the
+// route-serving workloads derived from the route config, and returns the
+// report. Every workload runs on one worker: the report is stamped with
+// the caller's GOMAXPROCS, which `mfpsim -bench-json` pins to 1.
+func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, churn experiments.Churn[grid.Coord, grid.Mesh], churn3s []experiments.Churn[grid3.Coord, grid3.Mesh], sweep []experiments.Churn[grid.Coord, grid.Mesh], route experiments.RouteConfig) (*benchfmt.Report, error) {
 	rep := benchfmt.New(runtime.Version(), runtime.GOMAXPROCS(0))
-	counts := benchWorkerCounts(limit)
 
 	// Calibrate the machine first, through the same timeIt the workloads
 	// use: the mean seconds of one CalibrationUnit run stamp the report,
@@ -185,13 +130,14 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	// baseline recorded on different hardware still gates at a tight
 	// tolerance (see benchfmt.Diff).
 	var calSink uint64
-	calSecs, _ := timeIt(iterations, func() { calSink += benchfmt.CalibrationUnit() })
+	calSecs, _ := timeIt(func() { calSink += benchfmt.CalibrationUnit() })
 	_ = calSink
 	rep.CalibrationSeconds = calSecs
 
 	for _, model := range models {
 		c := cfg
 		c.Model = model
+		c.Workers = 1
 		for _, fig := range figures {
 			// Surface bad figure numbers on a tiny probe sweep before timing:
 			// timeIt would otherwise calibrate a near-instant erroring closure
@@ -205,69 +151,60 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 			// were produced by different configurations.
 			name := fmt.Sprintf("figure%d/%s/mesh%d/trials%d/faults%s/seed%d",
 				fig, model, c.MeshSize, c.Trials, faultsLabel(c.FaultCounts), c.BaseSeed)
-			for _, w := range counts {
-				c.Workers = w
-				var runErr error
-				secs, iters := timeIt(iterations, func() {
-					if _, err := experiments.Figure(fig, c); err != nil {
-						runErr = err
-					}
-				})
-				if runErr != nil {
-					return nil, runErr
+			var runErr error
+			secs, iters := timeIt(func() {
+				if _, err := experiments.Figure(fig, c); err != nil {
+					runErr = err
 				}
-				rep.Add(benchfmt.Record{Name: name, Workers: w, Iterations: iters, Seconds: secs})
+			})
+			if runErr != nil {
+				return nil, runErr
 			}
+			rep.Add(benchfmt.Record{Name: name, Iterations: iters, Seconds: secs})
 		}
 	}
 
-	// The BenchmarkBuild800-class workload: one paper-scale construction,
-	// isolating the per-component parallelism from the sweep-level pool.
+	// The BenchmarkBuild800-class workload: one paper-scale construction.
 	// Fixed at the paper's setting on purpose — it ignores -mesh/-faults so
 	// the record stays comparable across every archived report.
 	m := grid.New(100, 100)
 	faults := fault.NewInjector(m, fault.Clustered, 1).Inject(800)
-	for _, w := range counts {
-		secs, iters := timeIt(iterations, func() { mfp.BuildWorkers(m, faults, w) })
-		rep.Add(benchfmt.Record{
-			Name: "mfp.Build/mesh100/faults800/seed1", Workers: w,
-			Iterations: iters, Seconds: secs,
-		})
-	}
+	secs, iters := timeIt(func() { mfp.BuildWorkers(m, faults, 1) })
+	rep.Add(benchfmt.Record{Name: "mfp.Build/mesh100/faults800/seed1", Iterations: iters, Seconds: secs})
 
 	// Route-serving records. The sweep record times the whole RouteSweep
-	// scenario (engine feed, planner build, message batch per cell) at
-	// each pool size; the planner record isolates the preprocessing one
-	// planner cache miss pays; the serve record isolates steady-state
-	// query serving — one prepared planner answering a fixed RouteAll
-	// batch; the measure records time the same batch answered the way
-	// mfpd answers one, with count-only Planner.Measure calls, and count
-	// its allocations. All derive from the route config, whose names
-	// encode the scale, so reports at different settings never
-	// cross-compare.
+	// scenario (engine feed, planner build, message batch per cell); the
+	// planner record isolates the preprocessing one planner cache miss
+	// pays; the serve record isolates steady-state query serving — one
+	// prepared planner answering a fixed RouteAll batch; the measure
+	// records time the same batch answered the way mfpd answers one, with
+	// count-only Planner.Measure calls, and count its allocations. All
+	// derive from the route config, whose names encode the scale, so
+	// reports at different settings never cross-compare.
 	names := routeRecordNames(route)
-	for _, w := range counts {
-		route.Workers = w
-		secs, iters := timeIt(iterations, func() { experiments.RouteSweep(route) })
-		rep.Add(benchfmt.Record{Name: names.sweep, Workers: w, Iterations: iters, Seconds: secs})
-	}
+	route.Workers = 1
+	secs, iters = timeIt(func() { experiments.RouteSweep(route) })
+	rep.Add(benchfmt.Record{Name: names.sweep, Iterations: iters, Seconds: secs})
 
 	snap, queries := routeServeFixture(route)
 	var planner *routing.Planner
-	secs, iters := timeIt(iterations, func() { planner = routing.NewPlanner(snap) })
-	rep.Add(benchfmt.Record{Name: names.planner, Workers: 1, Iterations: iters, Seconds: secs})
-	for _, w := range counts {
-		secs, iters := timeIt(iterations, func() { planner.RouteAll(queries, w) })
-		rep.Add(benchfmt.Record{Name: names.serve, Workers: w, Iterations: iters, Seconds: secs})
-	}
+	secs, iters = timeIt(func() { planner = routing.NewPlanner(snap) })
+	rep.Add(benchfmt.Record{Name: names.planner, Iterations: iters, Seconds: secs})
+	secs, iters = timeIt(func() { planner.RouteAll(queries, 1) })
+	rep.Add(benchfmt.Record{Name: names.serve, Iterations: iters, Seconds: secs})
 	measure := func() {
 		for _, q := range queries {
 			planner.Measure(q.Src, q.Dst)
 		}
 	}
-	secs, iters = timeIt(iterations, measure)
-	rep.Add(benchfmt.Record{Name: names.measure, Workers: 1, Iterations: iters, Seconds: secs})
-	rep.Add(measureAllocsRecord(names.measureAllocs, len(queries), measure))
+	secs, iters = timeIt(measure)
+	rep.Add(benchfmt.Record{Name: names.measure, Iterations: iters, Seconds: secs})
+	// Planner.Measure allocates nothing, so this counter reads 0, and
+	// -bench-compare flags any count against that zero baseline.
+	rep.Add(benchfmt.Record{
+		Name: names.measureAllocs, Iterations: allocRounds,
+		Seconds: allocsPerRun(measure) / float64(len(queries)), Unit: "allocs/query",
+	})
 
 	// The planner at e2ebench's route2d scale: a from-scratch build (a
 	// memo miss with no predecessor) and the successor build after a
@@ -276,11 +213,11 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	if err != nil {
 		return nil, err
 	}
-	secs, iters = timeIt(iterations, func() { routing.NewPlanner(base) })
-	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/build", Workers: 1, Iterations: iters, Seconds: secs})
+	secs, iters = timeIt(func() { routing.NewPlanner(base) })
+	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/build", Iterations: iters, Seconds: secs})
 	prev := routing.NewPlanner(base)
-	secs, iters = timeIt(iterations, func() { routing.NewPlannerFrom(prev, next) })
-	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/next", Workers: 1, Iterations: iters, Seconds: secs})
+	secs, iters = timeIt(func() { routing.NewPlannerFrom(prev, next) })
+	rep.Add(benchfmt.Record{Name: experiments.PlannerChurnName + "/next", Iterations: iters, Seconds: secs})
 
 	// WAL records. Durable serving pays three distinct costs, each timed in
 	// isolation on seeded fixtures under a throwaway directory: append is
@@ -288,37 +225,31 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	// before the reply), compact is the snapshot rewrite that bounds the
 	// log, and recover is the startup path — decode every surviving record
 	// and replay it through kernel.Replay with the same version check the
-	// shard's own recovery performs. All three are run-goroutine-serial in
-	// the shard, so they are timed at one worker; the names encode the
-	// fixture scale for -bench-compare.
-	if err := walBenchRecords(rep, m, faults, iterations); err != nil {
+	// shard's own recovery performs. The names encode the fixture scale
+	// for -bench-compare.
+	if err := walBenchRecords(rep, m, faults); err != nil {
 		return nil, err
 	}
-	if err := restartBenchRecords(rep, iterations); err != nil {
+	if err := restartBenchRecords(rep); err != nil {
 		return nil, err
 	}
 
-	rep.ComputeSpeedups()
-
-	// The churn workloads compare replay strategies, not pool sizes, so
-	// they are added after ComputeSpeedups, which only knows worker-count
-	// baselines and would reset their hand-filled speedups.
-	if err := churnRecords(rep, churn, iterations); err != nil {
+	if err := churnRecords(rep, churn); err != nil {
 		return nil, err
 	}
 	for _, c := range churn3s {
-		if err := churnRecords(rep, c, iterations); err != nil {
+		if err := churnRecords(rep, c); err != nil {
 			return nil, err
 		}
 	}
 
 	for _, c := range sweep {
-		if err := churnPerEventRecord(rep, c, iterations); err != nil {
+		if err := churnPerEventRecord(rep, c); err != nil {
 			return nil, err
 		}
 	}
 
-	if err := componentSweepRecords(rep, iterations); err != nil {
+	if err := componentSweepRecords(rep); err != nil {
 		return nil, err
 	}
 	if err := engineAllocsRecords(rep); err != nil {
@@ -332,20 +263,16 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 
 // churnRecords times the churn scenario's two replay strategies, the
 // incremental engine and a from-scratch construction per event (the
-// latter only where RebuildFeasible), and adds one record per strategy
-// under the scenario's name with a strategy suffix. The incremental
-// record carries the rebuild-over-incremental speedup; an incremental-only
-// record (the rebuild is infeasible at that scale, the regime the engine
-// exists for) has none.
-func churnRecords[C any, T kernel.Topology[C]](rep *benchfmt.Report, c experiments.Churn[C, T], iterations int) error {
-	rebuildSecs := 0.0
+// latter only where RebuildFeasible: past it, the incremental engine is
+// the only strategy, the regime it exists for), and adds one record per
+// strategy under the scenario's name with a strategy suffix.
+func churnRecords[C any, T kernel.Topology[C]](rep *benchfmt.Report, c experiments.Churn[C, T]) error {
 	if c.RebuildFeasible() {
-		var iters int
-		rebuildSecs, iters = timeIt(iterations, func() { c.Rebuild() })
-		rep.Add(benchfmt.Record{Name: c.Name() + "/rebuild", Workers: 1, Iterations: iters, Seconds: rebuildSecs})
+		secs, iters := timeIt(func() { c.Rebuild() })
+		rep.Add(benchfmt.Record{Name: c.Name() + "/rebuild", Iterations: iters, Seconds: secs})
 	}
 	var runErr error
-	secs, iters := timeIt(iterations, func() {
+	secs, iters := timeIt(func() {
 		if _, err := c.Incremental(); err != nil {
 			runErr = err
 		}
@@ -353,11 +280,7 @@ func churnRecords[C any, T kernel.Topology[C]](rep *benchfmt.Report, c experimen
 	if runErr != nil {
 		return runErr
 	}
-	inc := benchfmt.Record{Name: c.Name() + "/incremental", Workers: 1, Iterations: iters, Seconds: secs}
-	if rebuildSecs > 0 {
-		inc.Speedup = rebuildSecs / secs
-	}
-	rep.Add(inc)
+	rep.Add(benchfmt.Record{Name: c.Name() + "/incremental", Iterations: iters, Seconds: secs})
 	return nil
 }
 
@@ -368,7 +291,7 @@ func churnRecords[C any, T kernel.Topology[C]](rep *benchfmt.Report, c experimen
 // reverse order, which restores the warm-up state so every timed run
 // starts from the same engine. The record is wall-clock seconds per
 // event.
-func churnPerEventRecord(rep *benchfmt.Report, c experiments.Churn[grid.Coord, grid.Mesh], iterations int) error {
+func churnPerEventRecord(rep *benchfmt.Report, c experiments.Churn[grid.Coord, grid.Mesh]) error {
 	seq := c.Sequence()
 	warm, churn := seq[:c.Faults], seq[c.Faults:]
 	e, err := c.NewEngine()
@@ -380,7 +303,7 @@ func churnPerEventRecord(rep *benchfmt.Report, c experiments.Churn[grid.Coord, g
 	}
 	round := appendInverse(append([]engine.Event(nil), churn...))
 	var runErr error
-	secs, iters := timeIt(iterations, func() {
+	secs, iters := timeIt(func() {
 		for i := range round {
 			if _, _, err := e.Apply(round[i : i+1]); err != nil {
 				runErr = err
@@ -394,8 +317,8 @@ func churnPerEventRecord(rep *benchfmt.Report, c experiments.Churn[grid.Coord, g
 		return fmt.Errorf("churn sweep %s: inverse replay left %d faults, want %d", c.Name(), e.Snapshot().Faults().Len(), c.Faults)
 	}
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.Mesh.W, c.Faults, c.Events, c.BaseSeed),
-		Workers: 1, Iterations: iters, Seconds: secs / float64(len(round)),
+		Name:       fmt.Sprintf("churn2d/mesh%d/faults%d/events%d/seed%d/per-event", c.Mesh.W, c.Faults, c.Events, c.BaseSeed),
+		Iterations: iters, Seconds: secs / float64(len(round)),
 	})
 	return nil
 }
@@ -424,7 +347,7 @@ var componentSweepFaults = []int{650, 2600, 10400}
 // seconds per event and the box-index visits per event (unit
 // "visits/event", read from engine_index_visits_total). Per-event cost
 // that follows the touched components stays flat across the sweep.
-func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
+func componentSweepRecords(rep *benchfmt.Report) error {
 	for _, n := range componentSweepFaults {
 		m := grid.New(512, 512)
 		e, err := engine.New(m)
@@ -433,7 +356,7 @@ func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
 		}
 		base := fault.InjectWithMargin(m, fault.Clustered, 1, n, 2).Coords()
 		name := fmt.Sprintf("components/churn2d/mesh%d/faults%d/clustered/seed1", m.W, n)
-		if err := componentSweepRecord(rep, name, "2", e, base, iterations); err != nil {
+		if err := componentSweepRecord(rep, name, "2", e, base); err != nil {
 			return err
 		}
 	}
@@ -448,7 +371,7 @@ func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
 			base = append(base, grid3.XYZ(p.X+1, p.Y+1, p.Z+1))
 		})
 		name := fmt.Sprintf("components/churn3d/mesh%d/faults%d/clustered/seed1", m.W, n)
-		if err := componentSweepRecord(rep, name, "3", e, base, iterations); err != nil {
+		if err := componentSweepRecord(rep, name, "3", e, base); err != nil {
 			return err
 		}
 	}
@@ -461,7 +384,7 @@ func componentSweepRecords(rep *benchfmt.Report, iterations int) error {
 // healthy neighbour of a base fault. The churn is followed by its
 // inverse, so every timed run starts from the same state. It adds the
 // per-event seconds and the per-event index visits of one untimed run.
-func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, name, dim string, e *kernel.Engine[C, T], base []C, iterations int) error {
+func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, name, dim string, e *kernel.Engine[C, T], base []C) error {
 	const events, batch = 256, 4
 	mesh := e.Mesh()
 	faulty := kernel.SetOf(mesh, base...)
@@ -499,7 +422,7 @@ func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, nam
 	before, _ := obs.Default.Value("engine_index_visits_total", dim)
 	run()
 	visits, _ := obs.Default.Value("engine_index_visits_total", dim)
-	secs, iters := timeIt(iterations, run)
+	secs, iters := timeIt(run)
 	if runErr != nil {
 		return runErr
 	}
@@ -507,11 +430,11 @@ func componentSweepRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, nam
 		return fmt.Errorf("%s: inverse replay left %d faults, want %d", name, got, len(base))
 	}
 	rep.Add(benchfmt.Record{
-		Name: name + "/per-event", Workers: 1, Iterations: iters,
+		Name: name + "/per-event", Iterations: iters,
 		Seconds: secs / float64(len(round)),
 	})
 	rep.Add(benchfmt.Record{
-		Name: name + "/index-visits", Workers: 1, Iterations: 1,
+		Name: name + "/index-visits", Iterations: 1,
 		Seconds: (visits - before) / float64(len(round)), Unit: "visits/event",
 	})
 	return nil
@@ -542,10 +465,10 @@ func engineBytesRecord(rep *benchfmt.Report) error {
 	runtime.ReadMemStats(&after)
 	comps := len(e.Snapshot().Components())
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("engine/heap/mesh%d/faults%d/clustered/seed1/bytes", m.W, faults.Len()),
-		Workers: 1, Iterations: 1,
-		Seconds: (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(comps),
-		Unit:    "B/component",
+		Name:       fmt.Sprintf("engine/heap/mesh%d/faults%d/clustered/seed1/bytes", m.W, faults.Len()),
+		Iterations: 1,
+		Seconds:    (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(comps),
+		Unit:       "B/component",
 	})
 	runtime.KeepAlive(e)
 	return nil
@@ -603,32 +526,40 @@ func allocsRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, prefix stri
 			kernel.Event[C]{Op: kernel.Clear, Node: c},
 		)
 	}
-	apply := func() error {
-		_, _, err := e.Apply(events)
-		return err
-	}
-	// Warm the scratch pools to their steady-state sizes before counting.
-	for i := 0; i < 4; i++ {
-		if err := apply(); err != nil {
-			return err
+	var runErr error
+	perRun := allocsPerRun(func() {
+		if _, _, err := e.Apply(events); err != nil {
+			runErr = err
 		}
+	})
+	if runErr != nil {
+		return runErr
 	}
-	const rounds = 50
+	rep.Add(benchfmt.Record{
+		Name:       fmt.Sprintf("%s/apply/mesh%d/faults%d/events%d/seed7/allocs", prefix, m.AxisLen(0), faults.Len(), len(events)),
+		Iterations: allocRounds, Seconds: perRun / float64(len(events)), Unit: "allocs/event",
+	})
+	return nil
+}
+
+// allocRounds is how many runs allocsPerRun averages over.
+const allocRounds = 50
+
+// allocsPerRun returns the heap allocations of one run of fn, averaged
+// over allocRounds runs that follow four untimed warm-up runs, which grow
+// the scratch pools to their steady-state sizes.
+func allocsPerRun(fn func()) float64 {
+	for i := 0; i < 4; i++ {
+		fn()
+	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
-	for i := 0; i < rounds; i++ {
-		if err := apply(); err != nil {
-			return err
-		}
+	for i := 0; i < allocRounds; i++ {
+		fn()
 	}
 	runtime.ReadMemStats(&ms)
-	perEvent := float64(ms.Mallocs-before) / float64(rounds*len(events))
-	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("%s/apply/mesh%d/faults%d/events%d/seed7/allocs", prefix, m.AxisLen(0), faults.Len(), len(events)),
-		Workers: 1, Iterations: rounds, Seconds: perEvent, Unit: "allocs/event",
-	})
-	return nil
+	return float64(ms.Mallocs-before) / allocRounds
 }
 
 // walBenchRecords times the three durable-layer workloads and adds their
@@ -637,7 +568,7 @@ func allocsRecord[C any, T kernel.Topology[C]](rep *benchfmt.Report, prefix stri
 // other; the recovery fixture is written once (256 batches of 8 events,
 // every batch state-changing so the recorded versions strictly increase,
 // as the decoder requires) and re-opened per iteration.
-func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, iterations int) error {
+func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set) error {
 	walDir, err := os.MkdirTemp("", "mfpsim-bench-wal-")
 	if err != nil {
 		return err
@@ -668,7 +599,7 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 	batch := randBatch(appendEvents)
 	var version uint64
 	var walErr error
-	secs, iters := timeIt(iterations, func() {
+	secs, iters := timeIt(func() {
 		version++
 		if err := appendLog.Append(version, batch); err != nil {
 			walErr = err
@@ -681,8 +612,8 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		return err
 	}
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("wal/append/mesh%d/events%d/seed1", m.W, appendEvents),
-		Workers: 1, Iterations: iters, Seconds: secs,
+		Name:       fmt.Sprintf("wal/append/mesh%d/events%d/seed1", m.W, appendEvents),
+		Iterations: iters, Seconds: secs,
 	})
 
 	// Compact: persist the paper-scale fault set (the mfp.Build fixture's
@@ -696,7 +627,7 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 	}
 	snapshot := make([]grid.Coord, 0, faults.Len())
 	faults.Each(func(c grid.Coord) { snapshot = append(snapshot, c) })
-	secs, iters = timeIt(iterations, func() {
+	secs, iters = timeIt(func() {
 		version++
 		if err := compactLog.Compact(version, snapshot); err != nil {
 			walErr = err
@@ -709,8 +640,8 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		return err
 	}
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("wal/compact/mesh%d/faults%d/seed1", m.W, len(snapshot)),
-		Workers: 1, Iterations: iters, Seconds: secs,
+		Name:       fmt.Sprintf("wal/compact/mesh%d/faults%d/seed1", m.W, len(snapshot)),
+		Iterations: iters, Seconds: secs,
 	})
 
 	// Recover: open the fixture log and replay every record, checking the
@@ -739,7 +670,7 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 	if err := recoverLog.Close(); err != nil {
 		return err
 	}
-	secs, iters = timeIt(iterations, func() {
+	secs, iters = timeIt(func() {
 		log, rec, err := wal.Open[grid.Coord](recoverDir)
 		if err != nil {
 			walErr = err
@@ -761,8 +692,8 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 		return walErr
 	}
 	rep.Add(benchfmt.Record{
-		Name:    fmt.Sprintf("wal/recover/mesh%d/batches%d/events%d/seed1", m.W, recoverBatches, recoverEvents),
-		Workers: 1, Iterations: iters, Seconds: secs,
+		Name:       fmt.Sprintf("wal/recover/mesh%d/batches%d/events%d/seed1", m.W, recoverBatches, recoverEvents),
+		Iterations: iters, Seconds: secs,
 	})
 	return nil
 }
@@ -770,9 +701,8 @@ func walBenchRecords(rep *benchfmt.Report, m grid.Mesh, faults *nodeset.Set, ite
 // restartBenchRecords times a restart of each e2ebench churn layout on a
 // prepared data directory (experiments.Restart: snapshot decode, log tail
 // replay, the engine build and the first read, then the manager's close),
-// the in-process share of the benchmark's setup_s. It runs on the
-// manager's goroutines, so it is recorded at one worker.
-func restartBenchRecords(rep *benchfmt.Report, iterations int) error {
+// the in-process share of the benchmark's setup_s.
+func restartBenchRecords(rep *benchfmt.Report) error {
 	dir, err := os.MkdirTemp("", "mfpsim-bench-restart-")
 	if err != nil {
 		return err
@@ -784,7 +714,7 @@ func restartBenchRecords(rep *benchfmt.Report, iterations int) error {
 			return err
 		}
 		var runErr error
-		secs, iters := timeIt(iterations, func() {
+		secs, iters := timeIt(func() {
 			mgr, err := experiments.Restart(data, cfg.Name)
 			if err != nil {
 				runErr = err
@@ -795,7 +725,7 @@ func restartBenchRecords(rep *benchfmt.Report, iterations int) error {
 		if runErr != nil {
 			return runErr
 		}
-		rep.Add(benchfmt.Record{Name: cfg.Label(), Workers: 1, Iterations: iters, Seconds: secs})
+		rep.Add(benchfmt.Record{Name: cfg.Label(), Iterations: iters, Seconds: secs})
 	}
 	return nil
 }
@@ -816,11 +746,11 @@ func runChurnReport[C any, T kernel.Topology[C]](w io.Writer, c experiments.Chur
 	var ref kernel.Reference[C, T]
 	rebuildSecs := 0.0
 	if feasible {
-		rebuildSecs, _ = timeIt(1, func() { ref = c.Rebuild() })
+		rebuildSecs, _ = timeIt(func() { ref = c.Rebuild() })
 	}
 	var snap *kernel.Snapshot[C, T]
 	var incErr error
-	incSecs, _ := timeIt(1, func() { snap, incErr = c.Incremental() })
+	incSecs, _ := timeIt(func() { snap, incErr = c.Incremental() })
 	if incErr != nil {
 		return incErr
 	}
@@ -949,35 +879,15 @@ func routeServeFixture(route experiments.RouteConfig) (*engine.Snapshot, []routi
 	return snap, queries
 }
 
-// measureAllocsRecord counts the heap allocations per query of batch,
-// which measures that many routes, as a machine-independent counter
-// (unit "allocs/query"). Planner.Measure allocates nothing, so the record
-// reads 0, and -bench-compare flags any count against that zero baseline.
-func measureAllocsRecord(name string, queries int, batch func()) benchfmt.Record {
-	batch() // warm up
-	const rounds = 8
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
-	for i := 0; i < rounds; i++ {
-		batch()
-	}
-	runtime.ReadMemStats(&ms)
-	return benchfmt.Record{
-		Name: name, Workers: 1, Iterations: rounds,
-		Seconds: float64(ms.Mallocs-before) / float64(rounds*queries), Unit: "allocs/query",
-	}
-}
-
-// printBenchSummary renders the report's speedup column for the terminal;
-// the JSON artifact carries the full data.
+// printBenchSummary renders the report for the terminal; the JSON
+// artifact carries the full data.
 func printBenchSummary(w io.Writer, rep *benchfmt.Report) {
-	fmt.Fprintf(w, "%-58s %8s %12s %9s\n", "workload", "workers", "seconds", "speedup")
+	fmt.Fprintf(w, "%-72s %14s  %s\n", "workload", "value", "unit")
 	for _, rec := range rep.Records {
-		speedup := "-"
-		if rec.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", rec.Speedup)
+		unit := rec.Unit
+		if unit == "" {
+			unit = "s"
 		}
-		fmt.Fprintf(w, "%-58s %8d %12.4f %9s\n", rec.Name, rec.Workers, rec.Seconds, speedup)
+		fmt.Fprintf(w, "%-72s %14.6g  %s\n", rec.Name, rec.Seconds, unit)
 	}
 }

@@ -14,32 +14,9 @@ import (
 	"repro/internal/grid3"
 )
 
-func TestBenchWorkerCounts(t *testing.T) {
-	cases := map[int][]int{
-		1: {1},
-		2: {1, 2},
-		3: {1, 2, 3},
-		8: {1, 2, 4, 8},
-	}
-	for limit, want := range cases {
-		got := benchWorkerCounts(limit)
-		if len(got) != len(want) {
-			t.Fatalf("limit %d: %v, want %v", limit, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("limit %d: %v, want %v", limit, got, want)
-			}
-		}
-	}
-	if got := benchWorkerCounts(0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("limit 0: %v, want [1]", got)
-	}
-}
-
 // The full -bench-json path on a tiny configuration: report is written,
-// parses back, has the serial baseline and speedups, and round-trips
-// through the regression comparison.
+// parses back, holds every workload, and round-trips through the
+// regression comparison.
 func TestRunBenchSweepAndReport(t *testing.T) {
 	cfg := experiments.Config{
 		MeshSize:    20,
@@ -53,11 +30,11 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	route := testRouteConfig()
 	sweep := []experiments.Churn[grid.Coord, grid.Mesh]{churn, experiments.Churn2D(70, 6, 20, 5)}
 	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn[grid3.Coord, grid3.Mesh]{churn3, churn3Big}, sweep, route, 1, 0)
+		[]experiments.Churn[grid3.Coord, grid3.Mesh]{churn3, churn3Big}, sweep, route)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawSweepSerial, sawBuild, sawChurnRebuild, sawChurnIncremental bool
+	var sawSweep, sawBuild, sawChurnRebuild, sawChurnIncremental bool
 	var sawChurn3Rebuild, sawChurn3Incremental, sawChurn3BigIncremental bool
 	var sawEngine3Allocs, sawEngineBytes bool
 	sawPerEvent := map[int]bool{}
@@ -66,11 +43,8 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	sawPlannerChurn := map[string]bool{}
 	sawRestart := map[string]bool{}
 	for _, rec := range rep.Records {
-		if strings.HasPrefix(rec.Name, "figure9/random/") && rec.Workers == 1 {
-			sawSweepSerial = true
-			if rec.Speedup != 1.0 {
-				t.Fatalf("serial sweep speedup %v, want 1.0", rec.Speedup)
-			}
+		if strings.HasPrefix(rec.Name, "figure9/random/") {
+			sawSweep = true
 		}
 		if strings.HasPrefix(rec.Name, "mfp.Build/") {
 			sawBuild = true
@@ -83,19 +57,12 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		}
 		if rec.Name == churn3.Name()+"/incremental" {
 			sawChurn3Incremental = true
-			if rec.Speedup <= 0 {
-				t.Fatalf("churn3d incremental record lost its speedup: %+v", rec)
-			}
 		}
 		if rec.Name == churn3Big.Name()+"/rebuild" {
 			t.Fatalf("rebuild record timed at an infeasible scale: %+v", rec)
 		}
 		if rec.Name == churn3Big.Name()+"/incremental" {
 			sawChurn3BigIncremental = true
-			// No rebuild sibling exists, so no speedup can be formed.
-			if rec.Speedup != 0 {
-				t.Fatalf("incremental-only churn3d record has a speedup: %+v", rec)
-			}
 		}
 		if strings.HasPrefix(rec.Name, "engine3/apply/") {
 			sawEngine3Allocs = true
@@ -119,12 +86,6 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 		}
 		if rec.Name == churn.Name()+"/incremental" {
 			sawChurnIncremental = true
-			// The hand-filled incremental-vs-rebuild speedup must survive
-			// the report pipeline (ComputeSpeedups only knows
-			// worker-count baselines).
-			if rec.Speedup <= 0 {
-				t.Fatalf("churn incremental record lost its speedup: %+v", rec)
-			}
 		}
 		if strings.HasPrefix(rec.Name, "route/sweep/") {
 			sawRouteSweep = true
@@ -155,7 +116,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 			t.Fatalf("record %q has non-positive time %v", rec.Name, rec.Seconds)
 		}
 	}
-	if !sawSweepSerial || !sawBuild || !sawChurnRebuild || !sawChurnIncremental {
+	if !sawSweep || !sawBuild || !sawChurnRebuild || !sawChurnIncremental {
 		t.Fatalf("report misses expected workloads: %+v", rep.Records)
 	}
 	if !sawChurn3Rebuild || !sawChurn3Incremental || !sawChurn3BigIncremental {
@@ -208,29 +169,6 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	}
 }
 
-// After the best-of-passes merge, ComputeSpeedups stamps every Workers==1
-// record with 1.0; the strategy-pair recompute must restore the
-// rebuild/incremental ratio from the merged minima and clear the stamp off
-// incremental-only records, which have no rebuild sibling to pair with.
-func TestRecomputeStrategySpeedups(t *testing.T) {
-	rep := benchfmt.New("go", 1)
-	rep.Add(benchfmt.Record{Name: "churn3d/small/rebuild", Workers: 1, Seconds: 0.8})
-	rep.Add(benchfmt.Record{Name: "churn3d/small/incremental", Workers: 1, Seconds: 0.2})
-	rep.Add(benchfmt.Record{Name: "churn3d/huge/incremental", Workers: 1, Seconds: 0.5})
-	rep.ComputeSpeedups()
-	recomputeStrategySpeedups(rep)
-	want := map[string]float64{
-		"churn3d/small/rebuild":     1.0,
-		"churn3d/small/incremental": 4.0,
-		"churn3d/huge/incremental":  0,
-	}
-	for _, rec := range rep.Records {
-		if rec.Speedup != want[rec.Name] {
-			t.Fatalf("%s speedup %v, want %v", rec.Name, rec.Speedup, want[rec.Name])
-		}
-	}
-}
-
 // testChurn3Config is a tiny, fast 3-D churn scale for bench tests.
 func testChurn3Config() experiments.Churn[grid3.Coord, grid3.Mesh] {
 	return experiments.Churn3D(8, 6, 16, 5)
@@ -275,7 +213,7 @@ func TestFaultsLabel(t *testing.T) {
 // timeIt must calibrate very short workloads up to the minimum sample so
 // -bench-compare is not gating on timer noise.
 func TestTimeItCalibrates(t *testing.T) {
-	secs, iters := timeIt(1, func() {})
+	secs, iters := timeIt(func() {})
 	if iters <= 1 {
 		t.Fatalf("no-op workload ran only %d iterations", iters)
 	}
@@ -288,24 +226,8 @@ func TestRunBenchSweepRejectsUnknownFigure(t *testing.T) {
 	cfg := experiments.Config{MeshSize: 10, FaultCounts: []int{5}, Trials: 1, BaseSeed: 1}
 	churn := experiments.Churn2D(10, 2, 4, 1)
 	if _, err := runBenchSweep([]fault.Model{fault.Random}, []int{12}, cfg, churn,
-		[]experiments.Churn[grid3.Coord, grid3.Mesh]{testChurn3Config()}, nil, testRouteConfig(), 1, 0); err == nil {
+		[]experiments.Churn[grid3.Coord, grid3.Mesh]{testChurn3Config()}, nil, testRouteConfig()); err == nil {
 		t.Fatal("figure 12 should be rejected")
-	}
-}
-
-// The -workers flag caps the timed pool sizes in -bench-json mode.
-func TestRunBenchSweepHonorsWorkersCap(t *testing.T) {
-	cfg := experiments.Config{MeshSize: 15, FaultCounts: []int{5}, Trials: 1, BaseSeed: 3}
-	churn := experiments.Churn2D(15, 2, 4, 3)
-	rep, err := runBenchSweep([]fault.Model{fault.Random}, []int{9}, cfg, churn,
-		[]experiments.Churn[grid3.Coord, grid3.Mesh]{testChurn3Config()}, nil, testRouteConfig(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range rep.Records {
-		if rec.Workers > 2 {
-			t.Fatalf("record %q timed workers=%d despite cap 2", rec.Name, rec.Workers)
-		}
 	}
 }
 

@@ -4,25 +4,87 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/benchfmt"
 	"repro/internal/experiments"
-	"repro/internal/fault"
 )
 
-// identityPrefixes select the baseline records the churn scenarios, the
-// engine allocs records and the route-serving workloads produce.
-var identityPrefixes = []string{"churn/", "churn3d/", "churn2d/", "engine/apply/", "engine3/apply/", "route/"}
+// runMainEnv marks a subprocess of the test binary that runs mfpsim's main
+// with the subprocess's arguments instead of the tests.
+const runMainEnv = "MFPSIM_TEST_RUN_MAIN"
 
-// TestBenchIdentities pins the workload identities of the churn, allocs
-// and route records. benchfmt only logs a record that vanished from a report as
-// retired, so a renamed record would pass the bench gate without ever
-// being compared; this test fails instead. It also pins each default
-// scenario's event stream by digest, so a record keeping its name cannot
-// silently time a different workload.
+// TestMain shortens timeIt's samples for every test: the tests check what
+// a report holds, not what it reads. Under runMainEnv it runs main
+// instead, so a test can drive the real command line.
+func TestMain(m *testing.M) {
+	minSample = time.Millisecond
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+var (
+	cliReportOnce sync.Once
+	cliReport     *benchfmt.Report
+	cliReportErr  error
+)
+
+// benchCLIReport runs `mfpsim -bench-json` with `make bench-baseline`'s
+// flags (BENCH_TRIALS=5) at GOMAXPROCS=2, once per test binary, and
+// returns the report it wrote.
+func benchCLIReport(t *testing.T) *benchfmt.Report {
+	t.Helper()
+	cliReportOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "mfpsim-bench-cli-")
+		if err != nil {
+			cliReportErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		out := filepath.Join(dir, "BENCH_sweep.json")
+		cmd := exec.Command(os.Args[0], "-bench-json", "-trials", "5", "-bench-out", out)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1", "GOMAXPROCS=2")
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			cliReportErr = fmt.Errorf("mfpsim -bench-json: %v\n%s", err, msg)
+			return
+		}
+		f, err := os.Open(out)
+		if err != nil {
+			cliReportErr = err
+			return
+		}
+		defer f.Close()
+		cliReport, cliReportErr = benchfmt.ReadJSON(f)
+	})
+	if cliReportErr != nil {
+		t.Fatal(cliReportErr)
+	}
+	return cliReport
+}
+
+// TestBenchJSONPinsGOMAXPROCS: -bench-json runs at GOMAXPROCS=1 whatever
+// the environment asks for, so every report is stamped like the baseline.
+func TestBenchJSONPinsGOMAXPROCS(t *testing.T) {
+	if got := benchCLIReport(t).GOMAXPROCS; got != 1 {
+		t.Fatalf("report stamped gomaxprocs %d under GOMAXPROCS=2, want 1", got)
+	}
+}
+
+// TestBenchIdentities pins the record set: the names `make bench-baseline`
+// emits must be exactly the committed baseline's. benchfmt only logs a
+// record missing on one side as new or retired, so without this test a
+// record could go ungated, or a renamed one retire, with the gate green.
+// It also pins each default scenario's event stream by digest, so a
+// record keeping its name cannot silently time a different workload.
 func TestBenchIdentities(t *testing.T) {
 	f, err := os.Open("../../BENCH_baseline.json")
 	if err != nil {
@@ -33,49 +95,16 @@ func TestBenchIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for _, rec := range baseline.Records {
-		for _, p := range identityPrefixes {
-			if strings.HasPrefix(rec.Name, p) {
-				want = append(want, rec.Name)
-			}
+	names := func(rep *benchfmt.Report) string {
+		var out []string
+		for _, rec := range rep.Records {
+			out = append(out, rec.Name)
 		}
+		sort.Strings(out)
+		return strings.Join(out, "\n")
 	}
-
-	rep := benchfmt.New("go", 1)
-	for _, c := range experiments.ChurnMeshSweep() {
-		if err := churnPerEventRecord(rep, c, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := engineAllocsRecords(rep); err != nil {
-		t.Fatal(err)
-	}
-	// The rebuild-vs-incremental records are named by churnRecords: the
-	// scenario's name with a strategy suffix, the rebuild one only where
-	// it is feasible.
-	got := []string{
-		experiments.DefaultChurn().Name() + "/rebuild",
-		experiments.DefaultChurn().Name() + "/incremental",
-	}
-	for _, size := range []int{12, 64, 128} {
-		c := experiments.DefaultChurn3At(size)
-		if c.RebuildFeasible() {
-			got = append(got, c.Name()+"/rebuild")
-		}
-		got = append(got, c.Name()+"/incremental")
-	}
-	for _, rec := range rep.Records {
-		got = append(got, rec.Name)
-	}
-	// The route records at `make bench-baseline`'s scale (BENCH_TRIALS=5).
-	route := routeRecordNames(experiments.DefaultRoute(fault.Clustered, 5))
-	got = append(got, route.sweep, route.planner, route.serve, route.measure, route.measureAllocs,
-		experiments.PlannerChurnName+"/build", experiments.PlannerChurnName+"/next")
-	sort.Strings(got)
-	sort.Strings(want)
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("record names\n%s\nbaseline has\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	if got, want := names(benchCLIReport(t)), names(baseline); got != want {
+		t.Fatalf("record names\n%s\nbaseline has\n%s", got, want)
 	}
 
 	digests := map[string]string{}

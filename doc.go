@@ -14,9 +14,10 @@
 // The experiment harness (internal/experiments) fans every (faultCount,
 // trial) cell out to a bounded worker pool and merges results in canonical
 // order, so sweeps are deterministic at any worker count; mfpsim's -workers
-// flag bounds the pool and -bench-json writes the machine-readable timing
-// report (internal/benchfmt) that CI archives per commit and diffs against
-// the committed BENCH_baseline.json.
+// flag bounds the pool. mfpsim -bench-json times every workload on one
+// worker at GOMAXPROCS=1 and writes the machine-readable timing report
+// (internal/benchfmt) that CI archives per commit and diffs against the
+// committed BENCH_baseline.json.
 //
 // The geometry itself lives once, in internal/kernel: a dimension-generic
 // topology abstraction (Topology[C] over a coordinate type), the dense
@@ -41,9 +42,10 @@
 // the shard manager as a long-lived HTTP service (admin create/delete/list
 // — create takes an optional depth for 3-D meshes — plus mesh-scoped
 // events/status/polygon/route/stats routes, with graceful drain on
-// shutdown), cmd/mfpsim -churn and -churn3d and the churn records of
-// -bench-json quantify the incremental-vs-rebuild speedup in both
-// dimensions from one scenario type (experiments.Churn), every snapshot
+// shutdown), cmd/mfpsim -churn and -churn3d quantify the
+// incremental-vs-rebuild speedup, and the churn records of -bench-json time
+// both strategies, in both dimensions from one scenario type
+// (experiments.Churn), every snapshot
 // checked by kernel.Snapshot.Verify against core.Construct or mfp3d.Build,
 // and examples/churn is the runnable walkthrough.
 //

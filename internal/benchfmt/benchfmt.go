@@ -15,15 +15,13 @@ import (
 
 // Schema identifies the report layout; bump it on incompatible changes so
 // regression tooling can refuse to compare apples to oranges.
-const Schema = "repro/bench/v1"
+const Schema = "repro/bench/v2"
 
-// Record is one timed workload at one worker-pool size.
+// Record is one measured workload. Every workload runs on one worker.
 type Record struct {
 	// Name identifies the workload ("figure9/random/mesh100/trials30",
 	// "mfp.Build/faults800", ...).
 	Name string `json:"name"`
-	// Workers is the worker-pool bound the workload ran with (1 = serial).
-	Workers int `json:"workers"`
 	// Iterations is how many times the workload ran; Seconds is the mean
 	// wall-clock time of one run.
 	Iterations int     `json:"iterations"`
@@ -31,12 +29,8 @@ type Record struct {
 	// Unit is empty for wall-clock records (Seconds is seconds) and names
 	// the measured quantity otherwise — e.g. "allocs/event" for allocation
 	// counters. Non-time records are machine-independent already, so Diff
-	// compares them unnormalized and ComputeSpeedups ignores them.
+	// compares them unnormalized.
 	Unit string `json:"unit,omitempty"`
-	// Speedup is Seconds of the same Name at Workers==1 divided by this
-	// record's Seconds; zero when no serial baseline exists. Populated by
-	// ComputeSpeedups.
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // Report is the top-level BENCH_sweep.json document.
@@ -63,38 +57,14 @@ func New(goVersion string, gomaxprocs int) *Report {
 // Add appends one record.
 func (r *Report) Add(rec Record) { r.Records = append(r.Records, rec) }
 
-// ComputeSpeedups fills every record's Speedup from the Workers==1 record
-// of the same Name, leaving records without a serial baseline at zero.
-// Non-time records (Unit != "") are counters, not durations — they are
-// left untouched and never used as a baseline.
-func (r *Report) ComputeSpeedups() {
-	serial := map[string]float64{}
-	for _, rec := range r.Records {
-		if rec.Workers == 1 && rec.Seconds > 0 && rec.Unit == "" {
-			serial[rec.Name] = rec.Seconds
-		}
-	}
-	for i := range r.Records {
-		rec := &r.Records[i]
-		if rec.Unit != "" {
-			continue
-		}
-		if base, ok := serial[rec.Name]; ok && rec.Seconds > 0 {
-			rec.Speedup = base / rec.Seconds
-		} else {
-			rec.Speedup = 0
-		}
-	}
-}
-
 // WriteJSON writes the report as indented JSON with a stable record order
-// (sorted by Name, then Workers), so per-commit artifacts diff cleanly.
+// (sorted by Name, then Unit), so per-commit artifacts diff cleanly.
 func (r *Report) WriteJSON(w io.Writer) error {
 	sort.SliceStable(r.Records, func(i, j int) bool {
 		if r.Records[i].Name != r.Records[j].Name {
 			return r.Records[i].Name < r.Records[j].Name
 		}
-		return r.Records[i].Workers < r.Records[j].Workers
+		return r.Records[i].Unit < r.Records[j].Unit
 	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -116,8 +86,7 @@ func ReadJSON(rd io.Reader) (*Report, error) {
 // Regression describes one workload that got slower than the baseline
 // report allows.
 type Regression struct {
-	Name    string
-	Workers int
+	Name string
 	// Old and New are the baseline and current raw measurements (seconds,
 	// or the record's Unit); Ratio is New/Old after calibration
 	// normalization, so on wall-clock records it can differ from the raw
@@ -129,8 +98,8 @@ type Regression struct {
 
 // String renders the regression for CI logs.
 func (g Regression) String() string {
-	return fmt.Sprintf("%s (workers=%d): %s -> %s (%.2fx)",
-		g.Name, g.Workers, formatMeasure(g.Old, g.Unit), formatMeasure(g.New, g.Unit), g.Ratio)
+	return fmt.Sprintf("%s: %s -> %s (%.2fx)",
+		g.Name, formatMeasure(g.Old, g.Unit), formatMeasure(g.New, g.Unit), g.Ratio)
 }
 
 // Improvement describes one workload that got faster than the tolerance
@@ -139,8 +108,7 @@ func (g Regression) String() string {
 // understates the code and should be re-recorded, or the next real
 // regression hides inside the slack.
 type Improvement struct {
-	Name    string
-	Workers int
+	Name string
 	// Old and New are the baseline and current raw measurements; Ratio is
 	// New/Old after calibration normalization (< 1/tolerance by
 	// construction).
@@ -151,8 +119,8 @@ type Improvement struct {
 
 // String renders the improvement for CI logs.
 func (im Improvement) String() string {
-	return fmt.Sprintf("%s (workers=%d): %s -> %s (%.2fx)",
-		im.Name, im.Workers, formatMeasure(im.Old, im.Unit), formatMeasure(im.New, im.Unit), im.Ratio)
+	return fmt.Sprintf("%s: %s -> %s (%.2fx)",
+		im.Name, formatMeasure(im.Old, im.Unit), formatMeasure(im.New, im.Unit), im.Ratio)
 }
 
 // formatMeasure renders one raw measurement with its unit ("0.0042s",
@@ -164,7 +132,7 @@ func formatMeasure(v float64, unit string) string {
 	return fmt.Sprintf("%.2f %s", v, unit)
 }
 
-// Skip reasons a (Name, Workers) pair can be excluded from the regression
+// Skip reasons a (Name, Unit) pair can be excluded from the regression
 // ratio with.
 const (
 	// SkipNoBaseline marks a current record with no baseline counterpart
@@ -187,14 +155,13 @@ const (
 // expected across PRs, but tooling should surface them so a gate that
 // silently compared nothing is visible.
 type Skip struct {
-	Name    string
-	Workers int
-	Reason  string
+	Name   string
+	Reason string
 }
 
 // String renders the skip for CI logs.
 func (s Skip) String() string {
-	return fmt.Sprintf("%s (workers=%d): skipped: %s", s.Name, s.Workers, s.Reason)
+	return fmt.Sprintf("%s: skipped: %s", s.Name, s.Reason)
 }
 
 // Comparison is the full verdict of diffing two reports: the workloads
@@ -206,7 +173,7 @@ type Comparison struct {
 	Skipped      []Skip
 }
 
-// Diff compares every (Name, Workers, Unit) triple across the two
+// Diff compares every (Name, Unit) pair across the two
 // reports. Pairs present in both with positive measurements are
 // ratio-checked against the tolerated slowdown (e.g. 1.25 for "fail when
 // 25% slower"); ratios below the mirror band 1/tolerance are reported as
@@ -228,35 +195,31 @@ func Diff(baseline, current *Report, tolerance float64) Comparison {
 	if baseline.CalibrationSeconds > 0 && current.CalibrationSeconds > 0 {
 		scale = baseline.CalibrationSeconds / current.CalibrationSeconds
 	}
-	type key struct {
-		name    string
-		workers int
-		unit    string
-	}
+	type key struct{ name, unit string }
 	old := map[key]float64{}
 	for _, rec := range baseline.Records {
-		old[key{rec.Name, rec.Workers, rec.Unit}] = rec.Seconds
+		old[key{rec.Name, rec.Unit}] = rec.Seconds
 	}
 	var out Comparison
 	seen := map[key]bool{}
 	for _, rec := range current.Records {
-		k := key{rec.Name, rec.Workers, rec.Unit}
+		k := key{rec.Name, rec.Unit}
 		seen[k] = true
 		base, ok := old[k]
 		switch {
 		case !ok:
-			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipNoBaseline})
+			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Reason: SkipNoBaseline})
 		case base == 0 && rec.Unit != "":
 			// A counter pinned at zero (an allocation-free path) has no
 			// ratio to form: any count at all is the regression.
 			if rec.Seconds > 0 {
 				out.Regressions = append(out.Regressions,
-					Regression{Name: rec.Name, Workers: rec.Workers, Old: base, New: rec.Seconds, Ratio: math.Inf(1), Unit: rec.Unit})
+					Regression{Name: rec.Name, Old: base, New: rec.Seconds, Ratio: math.Inf(1), Unit: rec.Unit})
 			}
 		case base <= 0:
-			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipZeroBaseline})
+			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Reason: SkipZeroBaseline})
 		case rec.Seconds <= 0:
-			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipZeroCurrent})
+			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Reason: SkipZeroCurrent})
 		default:
 			ratio := rec.Seconds / base
 			if rec.Unit == "" {
@@ -265,16 +228,16 @@ func Diff(baseline, current *Report, tolerance float64) Comparison {
 			switch {
 			case ratio > tolerance:
 				out.Regressions = append(out.Regressions,
-					Regression{Name: rec.Name, Workers: rec.Workers, Old: base, New: rec.Seconds, Ratio: ratio, Unit: rec.Unit})
+					Regression{Name: rec.Name, Old: base, New: rec.Seconds, Ratio: ratio, Unit: rec.Unit})
 			case ratio < 1/tolerance:
 				out.Improvements = append(out.Improvements,
-					Improvement{Name: rec.Name, Workers: rec.Workers, Old: base, New: rec.Seconds, Ratio: ratio, Unit: rec.Unit})
+					Improvement{Name: rec.Name, Old: base, New: rec.Seconds, Ratio: ratio, Unit: rec.Unit})
 			}
 		}
 	}
 	for _, rec := range baseline.Records {
-		if !seen[key{rec.Name, rec.Workers, rec.Unit}] {
-			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Workers: rec.Workers, Reason: SkipRetired})
+		if !seen[key{rec.Name, rec.Unit}] {
+			out.Skipped = append(out.Skipped, Skip{Name: rec.Name, Reason: SkipRetired})
 		}
 	}
 	return out
@@ -304,10 +267,4 @@ func CalibrationUnit() uint64 {
 		idx = v % tableSize
 	}
 	return sum
-}
-
-// Compare returns only the regressions of Diff — the gate half of the
-// verdict. Use Diff when the skip verdicts should be surfaced too.
-func Compare(baseline, current *Report, tolerance float64) []Regression {
-	return Diff(baseline, current, tolerance).Regressions
 }

@@ -7,51 +7,31 @@ import (
 )
 
 func sample() *Report {
-	r := New("go1.21", 8)
-	r.Add(Record{Name: "figure9/random", Workers: 8, Iterations: 1, Seconds: 0.5})
-	r.Add(Record{Name: "figure9/random", Workers: 1, Iterations: 1, Seconds: 2.0})
-	r.Add(Record{Name: "mfp.Build", Workers: 4, Iterations: 10, Seconds: 0.1})
+	r := New("go1.21", 1)
+	r.Add(Record{Name: "mfp.Build", Iterations: 10, Seconds: 0.1})
+	r.Add(Record{Name: "figure9/random", Iterations: 1, Seconds: 2.0, Unit: "rounds"})
+	r.Add(Record{Name: "figure9/random", Iterations: 1, Seconds: 0.5})
 	return r
-}
-
-func TestComputeSpeedups(t *testing.T) {
-	r := sample()
-	r.ComputeSpeedups()
-	for _, rec := range r.Records {
-		switch {
-		case rec.Name == "figure9/random" && rec.Workers == 8:
-			if rec.Speedup != 4.0 {
-				t.Fatalf("speedup %v, want 4.0", rec.Speedup)
-			}
-		case rec.Name == "figure9/random" && rec.Workers == 1:
-			if rec.Speedup != 1.0 {
-				t.Fatalf("serial speedup %v, want 1.0", rec.Speedup)
-			}
-		case rec.Name == "mfp.Build":
-			// No serial baseline: speedup stays unset.
-			if rec.Speedup != 0 {
-				t.Fatalf("baseline-less speedup %v, want 0", rec.Speedup)
-			}
-		}
-	}
 }
 
 func TestRoundTripAndStableOrder(t *testing.T) {
 	r := sample()
-	r.ComputeSpeedups()
 	var buf strings.Builder
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "workers") || strings.Contains(buf.String(), "speedup") {
+		t.Fatalf("report carries a retired field:\n%s", buf.String())
 	}
 	got, err := ReadJSON(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != Schema || got.GOMAXPROCS != 8 || len(got.Records) != 3 {
+	if got.Schema != Schema || got.GOMAXPROCS != 1 || len(got.Records) != 3 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
-	// WriteJSON sorts by (name, workers) so artifacts diff cleanly.
-	if got.Records[0].Workers != 1 || got.Records[1].Workers != 8 || got.Records[2].Name != "mfp.Build" {
+	// WriteJSON sorts by (name, unit) so artifacts diff cleanly.
+	if got.Records[0].Unit != "" || got.Records[1].Unit != "rounds" || got.Records[2].Name != "mfp.Build" {
 		t.Fatalf("records not in canonical order: %+v", got.Records)
 	}
 	var buf2 strings.Builder
@@ -72,28 +52,29 @@ func TestReadJSONRejectsForeignSchema(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	base := New("go1.21", 8)
-	base.Add(Record{Name: "a", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "b", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "retired", Workers: 1, Seconds: 1.0})
+// TestDiffTolerance: a ratio inside the tolerance is no verdict, one past
+// it is a regression carrying the exact ratio, and a looser tolerance
+// lets the same pair through.
+func TestDiffTolerance(t *testing.T) {
+	base := New("go1.21", 1)
+	base.Add(Record{Name: "a", Seconds: 1.0})
+	base.Add(Record{Name: "b", Seconds: 1.0})
 
-	cur := New("go1.21", 8)
-	cur.Add(Record{Name: "a", Workers: 1, Seconds: 1.1})   // within tolerance
-	cur.Add(Record{Name: "b", Workers: 1, Seconds: 2.0})   // regression
-	cur.Add(Record{Name: "new", Workers: 1, Seconds: 9.0}) // no baseline
+	cur := New("go1.21", 1)
+	cur.Add(Record{Name: "a", Seconds: 1.1}) // within tolerance
+	cur.Add(Record{Name: "b", Seconds: 2.0}) // regression
 
-	got := Compare(base, cur, 1.25)
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("regressions %+v, want exactly b", got)
+	got := Diff(base, cur, 1.25)
+	if len(got.Regressions) != 1 || got.Regressions[0].Name != "b" {
+		t.Fatalf("regressions %+v, want exactly b", got.Regressions)
 	}
-	if got[0].Ratio != 2.0 {
-		t.Fatalf("ratio %v, want 2.0", got[0].Ratio)
+	if got.Regressions[0].Ratio != 2.0 {
+		t.Fatalf("ratio %v, want 2.0", got.Regressions[0].Ratio)
 	}
-	if s := got[0].String(); !strings.Contains(s, "b (workers=1)") {
-		t.Fatalf("unhelpful regression string %q", s)
+	if s, want := got.Regressions[0].String(), "b: 1.0000s -> 2.0000s (2.00x)"; s != want {
+		t.Fatalf("regression string %q, want %q", s, want)
 	}
-	if rs := Compare(base, cur, 2.5); len(rs) != 0 {
+	if rs := Diff(base, cur, 2.5).Regressions; len(rs) != 0 {
 		t.Fatalf("loose tolerance still flagged %+v", rs)
 	}
 }
@@ -102,17 +83,17 @@ func TestCompare(t *testing.T) {
 // explicit skip verdicts — never a silent omission, an Inf ratio or a
 // spurious regression.
 func TestDiffSkipVerdicts(t *testing.T) {
-	base := New("go1.21", 8)
-	base.Add(Record{Name: "steady", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "retired", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "zero-base", Workers: 1, Seconds: 0})
-	base.Add(Record{Name: "zero-cur", Workers: 1, Seconds: 1.0})
+	base := New("go1.21", 1)
+	base.Add(Record{Name: "steady", Seconds: 1.0})
+	base.Add(Record{Name: "retired", Seconds: 1.0})
+	base.Add(Record{Name: "zero-base", Seconds: 0})
+	base.Add(Record{Name: "zero-cur", Seconds: 1.0})
 
-	cur := New("go1.21", 8)
-	cur.Add(Record{Name: "steady", Workers: 1, Seconds: 1.0})
-	cur.Add(Record{Name: "zero-base", Workers: 1, Seconds: 5.0})
-	cur.Add(Record{Name: "zero-cur", Workers: 1, Seconds: 0})
-	cur.Add(Record{Name: "fresh", Workers: 1, Seconds: 3.0})
+	cur := New("go1.21", 1)
+	cur.Add(Record{Name: "steady", Seconds: 1.0})
+	cur.Add(Record{Name: "zero-base", Seconds: 5.0})
+	cur.Add(Record{Name: "zero-cur", Seconds: 0})
+	cur.Add(Record{Name: "fresh", Seconds: 3.0})
 
 	got := Diff(base, cur, 1.25)
 	if len(got.Regressions) != 0 {
@@ -145,12 +126,12 @@ func TestDiffSkipVerdicts(t *testing.T) {
 // TestDiffZeroBaselineRegressionStillCaught: a report mixing zero and
 // valid baselines must still gate the valid pairs.
 func TestDiffZeroBaselineRegressionStillCaught(t *testing.T) {
-	base := New("go1.21", 8)
-	base.Add(Record{Name: "zero", Workers: 1, Seconds: 0})
-	base.Add(Record{Name: "slow", Workers: 1, Seconds: 1.0})
-	cur := New("go1.21", 8)
-	cur.Add(Record{Name: "zero", Workers: 1, Seconds: 1.0})
-	cur.Add(Record{Name: "slow", Workers: 1, Seconds: 4.0})
+	base := New("go1.21", 1)
+	base.Add(Record{Name: "zero", Seconds: 0})
+	base.Add(Record{Name: "slow", Seconds: 1.0})
+	cur := New("go1.21", 1)
+	cur.Add(Record{Name: "zero", Seconds: 1.0})
+	cur.Add(Record{Name: "slow", Seconds: 4.0})
 
 	got := Diff(base, cur, 1.25)
 	if len(got.Regressions) != 1 || got.Regressions[0].Name != "slow" || got.Regressions[0].Ratio != 4.0 {
@@ -167,15 +148,15 @@ func TestDiffZeroBaselineRegressionStillCaught(t *testing.T) {
 // code neither regresses nor improves, and a genuine slowdown on the fast
 // machine is still caught.
 func TestDiffCalibrationNormalizes(t *testing.T) {
-	base := New("go1.21", 8)
+	base := New("go1.21", 1)
 	base.CalibrationSeconds = 0.010
-	base.Add(Record{Name: "steady", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "slow", Workers: 1, Seconds: 1.0})
+	base.Add(Record{Name: "steady", Seconds: 1.0})
+	base.Add(Record{Name: "slow", Seconds: 1.0})
 
-	cur := New("go1.21", 8)
+	cur := New("go1.21", 1)
 	cur.CalibrationSeconds = 0.005 // machine is 2x faster
-	cur.Add(Record{Name: "steady", Workers: 1, Seconds: 0.5})
-	cur.Add(Record{Name: "slow", Workers: 1, Seconds: 1.0}) // 2x slower in code terms
+	cur.Add(Record{Name: "steady", Seconds: 0.5})
+	cur.Add(Record{Name: "slow", Seconds: 1.0}) // 2x slower in code terms
 
 	got := Diff(base, cur, 1.3)
 	if len(got.Improvements) != 0 {
@@ -200,12 +181,12 @@ func TestDiffCalibrationNormalizes(t *testing.T) {
 // TestDiffImprovements: ratios below 1/tolerance are reported as
 // improvements, never failures, and stay inside the band otherwise.
 func TestDiffImprovements(t *testing.T) {
-	base := New("go1.21", 8)
-	base.Add(Record{Name: "faster", Workers: 1, Seconds: 1.0})
-	base.Add(Record{Name: "steady", Workers: 1, Seconds: 1.0})
-	cur := New("go1.21", 8)
-	cur.Add(Record{Name: "faster", Workers: 1, Seconds: 0.25})
-	cur.Add(Record{Name: "steady", Workers: 1, Seconds: 0.9})
+	base := New("go1.21", 1)
+	base.Add(Record{Name: "faster", Seconds: 1.0})
+	base.Add(Record{Name: "steady", Seconds: 1.0})
+	cur := New("go1.21", 1)
+	cur.Add(Record{Name: "faster", Seconds: 0.25})
+	cur.Add(Record{Name: "steady", Seconds: 0.9})
 
 	got := Diff(base, cur, 1.3)
 	if len(got.Regressions) != 0 {
@@ -218,21 +199,21 @@ func TestDiffImprovements(t *testing.T) {
 	if im.Ratio != 0.25 || im.Old != 1.0 || im.New != 0.25 {
 		t.Fatalf("improvement fields %+v", im)
 	}
-	if s := im.String(); !strings.Contains(s, "faster (workers=1)") || !strings.Contains(s, "0.25x") {
+	if s := im.String(); !strings.Contains(s, "faster: ") || !strings.Contains(s, "0.25x") {
 		t.Fatalf("unhelpful improvement string %q", s)
 	}
 }
 
 // TestUnitRecords: counter records (Unit != "") are machine-independent —
-// Diff compares them raw even under calibration, ComputeSpeedups ignores
-// them, and a counter never matches a wall-clock record of the same name.
+// Diff compares them raw even under calibration, and a counter never
+// matches a wall-clock record of the same name.
 func TestUnitRecords(t *testing.T) {
-	base := New("go1.21", 8)
+	base := New("go1.21", 1)
 	base.CalibrationSeconds = 0.010
-	base.Add(Record{Name: "allocs", Workers: 1, Seconds: 0.05, Unit: "allocs/event"})
-	cur := New("go1.21", 8)
+	base.Add(Record{Name: "allocs", Seconds: 0.05, Unit: "allocs/event"})
+	cur := New("go1.21", 1)
 	cur.CalibrationSeconds = 0.005
-	cur.Add(Record{Name: "allocs", Workers: 1, Seconds: 0.05, Unit: "allocs/event"})
+	cur.Add(Record{Name: "allocs", Seconds: 0.05, Unit: "allocs/event"})
 
 	got := Diff(base, cur, 1.3)
 	if len(got.Regressions) != 0 || len(got.Improvements) != 0 || len(got.Skipped) != 0 {
@@ -254,30 +235,15 @@ func TestUnitRecords(t *testing.T) {
 	if len(got.Regressions) != 0 || len(got.Skipped) != 2 {
 		t.Fatalf("unit mismatch not skipped on both sides: %+v", got)
 	}
-
-	// Speedups never divide a counter by a wall-clock baseline.
-	r := New("go1.21", 8)
-	r.Add(Record{Name: "w", Workers: 1, Seconds: 1.0})
-	r.Add(Record{Name: "w", Workers: 1, Seconds: 0.05, Unit: "allocs/event"})
-	r.Add(Record{Name: "w", Workers: 4, Seconds: 0.25})
-	r.ComputeSpeedups()
-	for _, rec := range r.Records {
-		if rec.Unit != "" && rec.Speedup != 0 {
-			t.Fatalf("counter record got a speedup: %+v", rec)
-		}
-		if rec.Unit == "" && rec.Workers == 4 && rec.Speedup != 4.0 {
-			t.Fatalf("wall-clock speedup %v, want 4.0", rec.Speedup)
-		}
-	}
 }
 
 // TestZeroCounterRecords: a counter whose baseline is zero is gated, not
 // skipped: zero again is no verdict, any count is a regression.
 func TestZeroCounterRecords(t *testing.T) {
 	base := New("go1.21", 1)
-	base.Add(Record{Name: "allocs", Workers: 1, Seconds: 0, Unit: "allocs/query"})
+	base.Add(Record{Name: "allocs", Seconds: 0, Unit: "allocs/query"})
 	cur := New("go1.21", 1)
-	cur.Add(Record{Name: "allocs", Workers: 1, Seconds: 0, Unit: "allocs/query"})
+	cur.Add(Record{Name: "allocs", Seconds: 0, Unit: "allocs/query"})
 	if got := Diff(base, cur, 1.3); len(got.Regressions) != 0 || len(got.Improvements) != 0 || len(got.Skipped) != 0 {
 		t.Fatalf("zero counter against zero baseline produced verdicts: %+v", got)
 	}

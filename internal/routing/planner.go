@@ -101,9 +101,11 @@ func NewPlannerFrom(prev *Planner, snap *engine.Snapshot) *Planner {
 // (every node excluded from routing, faulty and disabled); its 8-connected
 // regions form the faulty polygons the router detours around. The caller
 // is responsible for those regions being orthogonal convex (use the mfp
-// or dmfp packages): convexity is what bounds detours and guarantees
-// deadlock freedom. The blocked set is cloned, so later caller mutations
-// do not corrupt the planner.
+// or dmfp packages): convexity is what bounds detours and lets every route
+// be delivered. Deadlock freedom holds only where the regions are
+// rectangular blocks (the block package); see the package comment. The
+// blocked set is cloned, so later caller mutations do not corrupt the
+// planner.
 func NewPlannerForBlocked(m grid.Mesh, blocked *nodeset.Set) *Planner {
 	if m.Torus {
 		panic("routing: extended e-cube is defined for non-torus meshes")
@@ -576,7 +578,9 @@ type walkOutcome struct {
 // remaining e-cube path, the exit must not regress the message type (a
 // WE-bound message never exits east of the destination column, a NS-bound
 // one exits on the destination column, and so on) — this one-way type
-// discipline is what makes the four-virtual-channel scheme deadlock-free.
+// discipline is what makes the four-virtual-channel scheme deadlock-free
+// around rectangular blocks (not around every polygon; see the package
+// comment).
 func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t MessageType, dir int) walkOutcome {
 	ring := p.rings[id]
 	pos := start

@@ -1,6 +1,8 @@
-// Package routing implements the fault-tolerant, deadlock-free routing of
-// the paper's Section 2.2: Chalasani and Boppana's extended e-cube routing
-// around orthogonal convex fault polygons.
+// Package routing implements the fault-tolerant routing of the paper's
+// Section 2.2: Chalasani and Boppana's extended e-cube routing around
+// orthogonal convex fault polygons. It delivers every route around such
+// polygons, but its four-virtual-channel assignment is deadlock-free only
+// around rectangular faulty blocks (see "Deadlock scope" below).
 //
 // A message follows the base e-cube (x-y) route — along the row until it
 // reaches the destination column, then along the column — until its next
@@ -8,9 +10,9 @@
 // along the region's boundary ring, clockwise or counterclockwise according
 // to its type (EW, WE, NS or SN) and its row relative to the row of travel,
 // until the region no longer affects the remaining e-cube path, where it
-// becomes "normal" again. Four virtual channels keep the detours
-// deadlock-free: EW-bound messages use vc0 for hops around faulty polygons,
-// WE-bound use vc1, NS-bound use vc2 and SN-bound use vc3.
+// becomes "normal" again. Detours use four virtual channels: EW-bound
+// messages use vc0 for hops around faulty polygons, WE-bound use vc1,
+// NS-bound use vc2 and SN-bound use vc3.
 //
 // The simulation is hop-level: it produces exact paths and channel usage,
 // which is what the deadlock analysis (channel dependency graph) and the
@@ -20,14 +22,17 @@
 //
 // Deadlock scope: around rectangular faulty blocks the orientation rules
 // keep every detour arc free of direction reversals, so the four-channel
-// assignment is cycle-free (asserted by the test suite with a sampled
-// channel dependency graph). Around non-rectangular orthogonal convex
-// polygons a detour can briefly reverse (e.g. a WE-bound message stepping
-// west out of an L-shaped notch); the full channel discipline that [3]
-// (Chalasani & Boppana, "Communication in multicomputers with nonconvex
-// faults") builds for that case is beyond this paper's scope, so the
-// dependency graph is surfaced as a measurement instead of an invariant
-// there.
+// assignment is cycle-free. Around non-rectangular orthogonal convex
+// polygons a detour can reverse (e.g. an EW-bound message stepping east
+// into an L-shaped notch), and the channel dependency graph can close a
+// cycle. The census test routes all pairs around every fault set of a
+// small box: the graph is acyclic for every set under faulty blocks, and
+// cyclic in 166 of the 512 3x3 sets and 38,922 of the 65,536 4x4 sets
+// under minimum faulty polygons; the wormhole simulator deadlocks on a
+// 4-fault L. The full channel discipline that [3] (Chalasani & Boppana,
+// "Communication in multicomputers with nonconvex faults") builds for
+// that case is beyond this paper's scope, so around polygons the
+// dependency graph is a measurement, not an invariant.
 package routing
 
 import (
