@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleEvents$$' -fuzztime $(FUZZTIME) ./cmd/mfpd
 	$(GO) test -run '^$$' -fuzz '^FuzzPolygonsReply$$' -fuzztime $(FUZZTIME) ./cmd/mfpd
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteReply$$' -fuzztime $(FUZZTIME) ./cmd/mfpd
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteRequest$$' -fuzztime $(FUZZTIME) ./cmd/mfpd
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/wal
 
 # The shard layer's acceptance gate, mirroring bench-check: a race-enabled

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/grid3"
 	"repro/internal/kernel"
@@ -84,6 +89,12 @@ func postFuzzEvents[C any, T kernel.Topology[C]](t *testing.T, srv *server, sh *
 	}
 }
 
+// appendRouteReply appends the single-pair reply for a recorded route,
+// through the appender the route handler writes AppendPath's path with.
+func appendRouteReply(dst []byte, version uint64, hit bool, route *routing.Route) []byte {
+	return appendPathReply(dst, version, hit, route.Src, route.Dst, route.Path(), route.AbnormalHops)
+}
+
 // FuzzRouteReply compares the route reply appenders with their
 // encoding/json references: a single-pair reply over a synthetic
 // trajectory, and a batch whose odd pairs failed with the fuzzed error
@@ -121,6 +132,99 @@ func FuzzRouteReply(f *testing.F) {
 		got = append(got, "]}\n"...)
 		if want := referenceJSON(reply); !bytes.Equal(got, want) {
 			t.Fatalf("batch reply\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+// referenceDecodeRoute is the encoding/json-only /route decoder: one
+// Decode straight from the capped body, then a check that nothing but
+// whitespace follows.
+func referenceDecodeRoute(body io.Reader) (routeRequest, error) {
+	var req routeRequest
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&req); err != nil {
+		return routeRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return routeRequest{}, errRouteTrailing
+	}
+	return req, nil
+}
+
+// FuzzRouteRequest holds the /route handler, whose decoder scans canonical
+// bodies by hand, to the encoding/json-only decoder: for any body the
+// status, the content type and the reply bytes (an error envelope or a
+// route reply) must be equal.
+func FuzzRouteRequest(f *testing.F) {
+	pair := func(sx, sy, dx, dy int) string {
+		return fmt.Sprintf(`{"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`, sx, sy, dx, dy)
+	}
+	batch := func(pairs ...string) string { return `{"pairs":[` + strings.Join(pairs, ",") + `]}` }
+	pad := strings.Repeat(" ", maxRouteBody)
+	for _, seed := range []string{
+		pair(0, 3, 15, 12),
+		pair(1, 1, 1, 14),
+		pair(6, 6, 0, 0), // blocked source
+		pair(3, 3, 3, 3),
+		batch(pair(0, 3, 15, 12), pair(6, 6, 0, 0), pair(-1, 0, 4, 4), pair(2, 2, 2, 2)),
+		batch(strings.TrimSuffix(strings.Repeat(pair(0, 0, 1, 1)+",", maxRoutePairs+1), ",")), // 413: too many pairs
+		`{"pairs":[]}`,
+		`{"pairs":null}`,
+		`{}`,
+		`{"src":{"x":1,"y":1}}`,
+		pair(0, 3, 15, 12) + ` extra`,
+		pair(0, 3, 15, 12) + "\n",
+		" " + pair(0, 3, 15, 12),
+		pad + pair(0, 3, 15, 12), // 413: the cap cuts the document
+		pair(0, 3, 15, 12) + pad, // 400: the cap cuts the whitespace after it
+		`{"src":{"x":-1,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":-0,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":007,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1.0,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1e1,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":123456789012345678,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1234567890123456789,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":99999999999999999999999,"y":0},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1,"y":1,"z":2},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1,"x":2,"y":1},"dst":{"x":4,"y":4}}`,
+		`{"src":{"x":1,"y":1},"src":{"x":2,"y":2},"dst":{"x":4,"y":4}}`,
+		`{"dst":{"x":4,"y":4},"src":{"x":1,"y":1}}`,
+		`{"src":{"x":1,"y":1},"dst":{"x":4,"y":4},"pairs":[` + pair(0, 0, 1, 1) + `]}`,
+		`{"SRC":{"X":1,"Y":1},"Dst":{"x":4,"y":4}}`,
+		`{"pairs":[` + pair(0, 0, 1, 1),
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+
+	mgr := shard.NewManager(shard.Config{})
+	defer mgr.Close()
+	sh, err := mgr.Create("m", grid.New(16, 16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var events []engine.Event
+	for _, c := range []grid.Coord{grid.XY(5, 5), grid.XY(6, 6), grid.XY(7, 5), grid.XY(10, 9), grid.XY(11, 10)} {
+		events = append(events, engine.Event{Op: engine.Add, Node: c})
+	}
+	if _, err := sh.Apply(events); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, _, err := sh.Planner(); err != nil { // later queries all hit the memo
+		f.Fatal(err)
+	}
+	srv := newServer(mgr)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got := httptest.NewRecorder()
+		srv.ServeHTTP(got, httptest.NewRequest(http.MethodPost, "/v1/meshes/m/route", bytes.NewReader(body)))
+		want := httptest.NewRecorder()
+		req, err := referenceDecodeRoute(http.MaxBytesReader(want, io.NopCloser(bytes.NewReader(body)), maxRouteBody))
+		srv.answerRoute(want, sh, req, err)
+
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("body %.200q:\n got %d %s\nwant %d %s", body, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
 		}
 	})
 }

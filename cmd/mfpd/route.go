@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/grid"
+	"repro/internal/kernel"
 	"repro/internal/pool"
 	"repro/internal/routing"
 	"repro/internal/shard"
@@ -51,23 +54,30 @@ func routeStatus(err error) (int, string) {
 }
 
 // handleRoute answers a single pair with its full trajectory and a batch
-// with each pair's hop counts. A batch only measures its routes
-// (routing.Planner.Measure) on the workers it takes from the server's
-// budget, so no trajectory is built for it, and both replies are written
-// by the appenders below.
+// with each pair's hop counts. The single pair's path is appended straight
+// from the planner's walk (routing.Planner.AppendPath) into a pooled
+// buffer, with no hop slice. A batch only measures its routes
+// (routing.Planner.Measure), so no trajectory is built for it, on the
+// workers it takes from the server's budget. Both replies are written by
+// the appenders below.
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard[grid.Coord, grid.Mesh]) {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, "POST", `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
 		return
 	}
-	var req routeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouteBody))
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeError(w, fmt.Errorf("bad route request: %w", err))
+	req, err := decodeRouteRequest(http.MaxBytesReader(w, r.Body, maxRouteBody))
+	s.answerRoute(w, sh, req, err)
+}
+
+// answerRoute answers a decoded /route request, or the error its decoding
+// failed with.
+func (s *server) answerRoute(w http.ResponseWriter, sh *shard.Shard[grid.Coord, grid.Mesh], req routeRequest, err error) {
+	if errors.Is(err, errRouteTrailing) {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "trailing data after route request")
+	if err != nil {
+		writeDecodeError(w, fmt.Errorf("bad route request: %w", err))
 		return
 	}
 	single := req.Src != nil || req.Dst != nil
@@ -90,14 +100,19 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.S
 		return
 	}
 
+	buf := routeBufs.Get().(*routeBuf)
+	defer buf.release()
 	if single {
-		route, err := planner.Route(grid.XY(req.Src.X, req.Src.Y), grid.XY(req.Dst.X, req.Dst.Y))
+		src, dst := grid.XY(req.Src.X, req.Src.Y), grid.XY(req.Dst.X, req.Dst.Y)
+		path, abnormal, err := planner.AppendPath(buf.path[:0], src, dst)
+		buf.path = path
 		if err != nil {
 			status, code := routeStatus(err)
 			writeError(w, status, code, "%v", err)
 			return
 		}
-		writeBody(w, appendRouteReply(make([]byte, 0, 128+20*(route.Length()+1)), v.Version, hit, route))
+		buf.body = appendPathReply(buf.body[:0], v.Version, hit, src, dst, path, abnormal)
+		writeBody(w, buf.body)
 		return
 	}
 
@@ -113,14 +128,143 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.S
 		results[i] = measured{length, abnormal, err}
 	})
 	s.releaseRouteWorkers(workers)
-	body := appendBatchHead(make([]byte, 0, 64+48*len(results)), v.Version, hit)
+	body := appendBatchHead(buf.body[:0], v.Version, hit)
 	for i, res := range results {
 		if i > 0 {
 			body = append(body, ',')
 		}
 		body = appendBatchResult(body, res.length, res.abnormal, res.err)
 	}
-	writeBody(w, append(body, "]}\n"...))
+	buf.body = append(body, "]}\n"...)
+	writeBody(w, buf.body)
+}
+
+// routeBuf is the scratch one /route reply is built in: the single pair's
+// path and the reply body. Buffers are pooled across requests, so a
+// steady stream of routes allocates none once they have grown to fit;
+// buffers grown past the bounds below are dropped rather than pinned.
+type routeBuf struct {
+	path []grid.Coord
+	body []byte
+}
+
+const (
+	maxPooledPath = 4 << 10  // nodes
+	maxPooledBody = 64 << 10 // bytes
+)
+
+var routeBufs = sync.Pool{New: func() any { return new(routeBuf) }}
+
+// release returns the buffer to the pool once the reply is written
+// (ResponseWriter.Write does not keep the slice it is given).
+func (b *routeBuf) release() {
+	if cap(b.path) <= maxPooledPath && cap(b.body) <= maxPooledBody {
+		routeBufs.Put(b)
+	}
+}
+
+// errRouteTrailing rejects a body with data after its JSON document.
+var errRouteTrailing = errors.New("trailing data after route request")
+
+// decodeRouteRequest reads and decodes a /route body. The two canonical
+// bodies, exactly as compact encoding/json writes them,
+//
+//	{"src":{"x":X,"y":Y},"dst":{"x":X,"y":Y}}
+//	{"pairs":[{"src":{"x":X,"y":Y},"dst":{"x":X,"y":Y}},...]}
+//
+// with plain decimal integers (kernel.ParseCanonicalCoord's), are scanned
+// by hand; any other body, and one whose read failed, is decoded by
+// encoding/json over the same bytes followed by the same read error, so
+// the request and every error (a MaxBytesReader cap included) are what
+// the reflective decoder alone gives. It returns errRouteTrailing for
+// data after the document and the decoder's error otherwise.
+func decodeRouteRequest(body io.Reader) (routeRequest, error) {
+	data, rerr := io.ReadAll(body)
+	if rerr == nil {
+		if req, ok := parseCanonicalRoute(data); ok {
+			return req, nil
+		}
+	}
+	var in io.Reader = bytes.NewReader(data)
+	if rerr != nil {
+		in = io.MultiReader(in, failedRead{rerr})
+	}
+	var req routeRequest
+	dec := json.NewDecoder(in)
+	if err := dec.Decode(&req); err != nil {
+		return routeRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return routeRequest{}, errRouteTrailing
+	}
+	return req, nil
+}
+
+// failedRead replays, after a body's bytes, the error that ended its read.
+type failedRead struct{ err error }
+
+func (r failedRead) Read([]byte) (int, error) { return 0, r.err }
+
+// parseCanonicalRoute scans a whole canonical /route body (see
+// decodeRouteRequest). ok=false means "not canonical", never "bad input":
+// the caller decodes the body through encoding/json for the verdict.
+func parseCanonicalRoute(data []byte) (req routeRequest, ok bool) {
+	pos := 0
+	lit := func(l string) bool {
+		if len(data)-pos < len(l) || string(data[pos:pos+len(l)]) != l {
+			return false
+		}
+		pos += len(l)
+		return true
+	}
+	pair := func() (routePair, bool) {
+		var p routePair
+		src, end, ok := kernel.ParseCanonicalCoord[grid.Coord](data, pos)
+		if !ok {
+			return p, false
+		}
+		pos = end
+		if !lit(`,"dst":`) {
+			return p, false
+		}
+		dst, end, ok := kernel.ParseCanonicalCoord[grid.Coord](data, pos)
+		if !ok {
+			return p, false
+		}
+		pos = end
+		return routePair{Src: xy{src.X, src.Y}, Dst: xy{dst.X, dst.Y}}, lit(`}`)
+	}
+	switch {
+	case lit(`{"src":`):
+		p, ok := pair()
+		if !ok || pos != len(data) {
+			return req, false
+		}
+		req.Src, req.Dst = &p.Src, &p.Dst
+		return req, true
+	case lit(`{"pairs":[`):
+		req.Pairs = []routePair{}
+		if lit(`]}`) {
+			return req, pos == len(data)
+		}
+		for {
+			if !lit(`{"src":`) {
+				return req, false
+			}
+			p, ok := pair()
+			if !ok {
+				return req, false
+			}
+			req.Pairs = append(req.Pairs, p)
+			if lit(`]}`) {
+				return req, pos == len(data)
+			}
+			if !lit(`,`) {
+				return req, false
+			}
+		}
+	}
+	return req, false
 }
 
 // The route reply formats, each with a trailing newline:
@@ -133,21 +277,24 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.S
 // the same reply shapes: the golden transcript and a fuzzed differential
 // test against reflection-based references pin them.
 
-// appendRouteReply appends the single-pair reply for route.
-func appendRouteReply(dst []byte, version uint64, hit bool, route *routing.Route) []byte {
-	dst = appendReplyHead(dst, version, hit)
-	dst = append(dst, `,"src":`...)
-	dst = appendXY(dst, route.Src)
-	dst = append(dst, `,"dst":`...)
-	dst = appendXY(dst, route.Dst)
-	dst = appendCounts(dst, `,"length":`, route.Length(), route.AbnormalHops)
-	dst = append(dst, `,"path":[`...)
-	dst = appendXY(dst, route.Src)
-	for _, h := range route.Hops {
-		dst = append(dst, ',')
-		dst = appendXY(dst, h.To)
+// appendPathReply appends the single-pair reply for the route from src to
+// dst whose node path (the source first, as Planner.AppendPath writes it)
+// and abnormal hop count are given; its length is one less than the path's.
+func appendPathReply(buf []byte, version uint64, hit bool, src, dst grid.Coord, path []grid.Coord, abnormal int) []byte {
+	buf = appendReplyHead(buf, version, hit)
+	buf = append(buf, `,"src":`...)
+	buf = appendXY(buf, src)
+	buf = append(buf, `,"dst":`...)
+	buf = appendXY(buf, dst)
+	buf = appendCounts(buf, `,"length":`, len(path)-1, abnormal)
+	buf = append(buf, `,"path":[`...)
+	for i, c := range path {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendXY(buf, c)
 	}
-	return append(dst, "]}\n"...)
+	return append(buf, "]}\n"...)
 }
 
 // appendBatchHead opens the batch reply up to its first result.

@@ -178,7 +178,8 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	// pays; the serve record isolates steady-state query serving — one
 	// prepared planner answering a fixed RouteAll batch; the measure
 	// records time the same batch answered the way mfpd answers one, with
-	// count-only Planner.Measure calls, and count its allocations. All
+	// count-only Planner.Measure calls, and count its allocations, and the
+	// path records do the same for Planner.AppendPath. All
 	// derive from the route config, whose names encode the scale, so
 	// reports at different settings never cross-compare.
 	names := routeRecordNames(route)
@@ -204,6 +205,21 @@ func runBenchSweep(models []fault.Model, figures []int, cfg experiments.Config, 
 	rep.Add(benchfmt.Record{
 		Name: names.measureAllocs, Iterations: allocRounds,
 		Seconds: allocsPerRun(measure) / float64(len(queries)), Unit: "allocs/query",
+	})
+	// The path records answer the batch the way mfpd answers a single
+	// pair: each route's node path appended into one reused buffer. Once
+	// the buffer has grown, that allocates nothing either.
+	var path []grid.Coord
+	appendPaths := func() {
+		for _, q := range queries {
+			path, _, _ = planner.AppendPath(path[:0], q.Src, q.Dst)
+		}
+	}
+	secs, iters = timeIt(appendPaths)
+	rep.Add(benchfmt.Record{Name: names.path, Iterations: iters, Seconds: secs})
+	rep.Add(benchfmt.Record{
+		Name: names.pathAllocs, Iterations: allocRounds,
+		Seconds: allocsPerRun(appendPaths) / float64(len(queries)), Unit: "allocs/query",
 	})
 
 	// The planner at e2ebench's route2d scale: a from-scratch build (a
@@ -836,7 +852,7 @@ const routeServeQueries = 2000
 // routeNames are the route-serving records' names at a route config's
 // scale; the serve and measure fixtures use its largest fault count.
 type routeNames struct {
-	sweep, planner, serve, measure, measureAllocs string
+	sweep, planner, serve, measure, measureAllocs, path, pathAllocs string
 }
 
 func routeRecordNames(route experiments.RouteConfig) routeNames {
@@ -849,6 +865,8 @@ func routeRecordNames(route experiments.RouteConfig) routeNames {
 		serve:         "route/serve/" + batch,
 		measure:       "route/measure/" + batch,
 		measureAllocs: "route/measure/" + batch + "/allocs",
+		path:          "route/path/" + batch,
+		pathAllocs:    "route/path/" + batch + "/allocs",
 	}
 }
 

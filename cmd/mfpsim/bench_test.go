@@ -38,7 +38,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	var sawChurn3Rebuild, sawChurn3Incremental, sawChurn3BigIncremental bool
 	var sawEngine3Allocs, sawEngineBytes bool
 	sawPerEvent := map[int]bool{}
-	var sawRouteSweep, sawRoutePlanner, sawRouteServe, sawRouteMeasure, sawMeasureAllocs bool
+	var sawRouteSweep, sawRoutePlanner, sawRouteServe, sawRouteMeasure, sawMeasureAllocs, sawPathAllocs bool
 	measureNames := routeRecordNames(route)
 	sawPlannerChurn := map[string]bool{}
 	sawRestart := map[string]bool{}
@@ -106,6 +106,13 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 			}
 			continue
 		}
+		if rec.Name == measureNames.pathAllocs {
+			sawPathAllocs = true
+			if rec.Unit != "allocs/query" || rec.Seconds != 0 {
+				t.Fatalf("AppendPath into a reused buffer allocates: %+v, want 0 allocs/query", rec)
+			}
+			continue
+		}
 		if strings.HasPrefix(rec.Name, experiments.PlannerChurnName+"/") {
 			sawPlannerChurn[strings.TrimPrefix(rec.Name, experiments.PlannerChurnName+"/")] = true
 		}
@@ -128,7 +135,7 @@ func TestRunBenchSweepAndReport(t *testing.T) {
 	if len(sawPerEvent) != len(sweep) {
 		t.Fatalf("report has per-event records for meshes %v, want all of %v", sawPerEvent, sweep)
 	}
-	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe || !sawRouteMeasure || !sawMeasureAllocs ||
+	if !sawRouteSweep || !sawRoutePlanner || !sawRouteServe || !sawRouteMeasure || !sawMeasureAllocs || !sawPathAllocs ||
 		!sawPlannerChurn["build"] || !sawPlannerChurn["next"] {
 		t.Fatalf("report misses route workloads: %+v", rep.Records)
 	}

@@ -7,9 +7,12 @@
 // Routing runs on prepared routing.Planner values — the MFP row on a
 // planner built straight from an engine snapshot (the same preparation
 // path mfpd's route endpoint serves from), the FB and FP rows on planners
-// over their models' blocked sets — and each message batch fans out to a
-// bounded worker pool (-workers). Results are identical for every worker
-// count.
+// over their models' blocked sets. The delivery statistics come from a
+// seeded batch of -messages pairs. The deadlock check (the CDG column) is
+// a property of the layout, not of the sample: it routes every ordered
+// pair of distinct unblocked nodes and adds each route to the channel
+// dependency graph as it is walked. Both fan out to a bounded worker pool
+// (-workers); results are identical for every worker count.
 //
 // Usage examples:
 //
@@ -23,12 +26,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/grid"
+	"repro/internal/pool"
 	"repro/internal/routing"
 )
 
@@ -94,12 +99,11 @@ func main() {
 	run(m, "FP", routing.NewPlannerForBlocked(m, c.SubMinimum.Disabled), queries, *workers)
 	run(m, "MFP", routing.NewPlanner(snap), queries, *workers)
 	fmt.Println("\nstretch = hops / Manhattan distance; abnormal% = hops spent rounding polygons.")
-	fmt.Println("CDG = sampled channel dependency graph acyclic (deadlock check; see routing docs).")
+	fmt.Println("CDG = channel dependency graph of every ordered pair's route (deadlock check; see routing docs).")
 }
 
 func run(m grid.Mesh, name string, p *routing.Planner, queries []routing.Query, workers int) {
 	results := p.RouteAll(queries, workers)
-	g := routing.NewDependencyGraph()
 	attempted, routable, delivered, hops, abnormal, dist := len(queries), 0, 0, 0, 0, 0
 	for i, res := range results {
 		q := queries[i]
@@ -115,14 +119,13 @@ func run(m grid.Mesh, name string, p *routing.Planner, queries []routing.Query, 
 		hops += r.Length()
 		abnormal += r.AbnormalHops
 		dist += m.Dist(q.Src, q.Dst)
-		g.AddRoute(r)
 	}
 	stretch := 0.0
 	if dist > 0 {
 		stretch = float64(hops) / float64(dist)
 	}
 	cdg := "acyclic"
-	if g.HasCycle() {
+	if allPairsGraph(m, p, workers).HasCycle() {
 		cdg = "cyclic"
 	}
 	fmt.Printf("%-6s %10d %9.1f%% %11.1f%% %12.3f %9.1f%% %8s\n",
@@ -133,6 +136,41 @@ func run(m grid.Mesh, name string, p *routing.Planner, queries []routing.Query, 
 		stretch,
 		100*float64(abnormal)/float64(max(hops, 1)),
 		cdg)
+}
+
+// allPairsGraph routes every ordered pair of distinct unblocked nodes and
+// adds each delivered route to the channel dependency graph as soon as it
+// is walked, so only the graph is held, never the routes. The sources are
+// dealt round-robin to the workers, each filling a graph of its own; the
+// graphs' union is the same edge set at any worker count.
+func allPairsGraph(m grid.Mesh, p *routing.Planner, workers int) *routing.DependencyGraph {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	graphs := make([]*routing.DependencyGraph, workers)
+	pool.ForEach(workers, workers, func(w int) {
+		g := routing.NewDependencyGraph()
+		for s := w; s < m.Size(); s += workers {
+			src := m.CoordAt(s)
+			if p.Blocked(src) {
+				continue
+			}
+			for d := 0; d < m.Size(); d++ {
+				dst := m.CoordAt(d)
+				if d == s || p.Blocked(dst) {
+					continue
+				}
+				if r, err := p.Route(src, dst); err == nil {
+					g.AddRoute(r)
+				}
+			}
+		}
+		graphs[w] = g
+	})
+	for _, g := range graphs[1:] {
+		graphs[0].Merge(g)
+	}
+	return graphs[0]
 }
 
 func fatal(err error) {

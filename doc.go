@@ -52,9 +52,13 @@
 // The routing plane closes the loop from constructed polygons back to the
 // paper's motivation — routing around them: routing.NewPlanner prepares
 // extended e-cube routing directly from an engine snapshot (reusing its
-// cached polygons instead of re-flooding the disabled union), serves
-// single queries as full trajectories (Route) and batched ones as hop
-// counts walked without recording a trajectory (Measure), and is
+// cached polygons instead of re-flooding the disabled union). Its walk
+// scans each normal e-cube segment as one word run of a blocked bitset
+// (row-major for rows, a column-major copy for columns) and steps hop by
+// hop only around the regions it detours; Route records the trajectory,
+// AppendPath writes the node path into a caller's buffer (mfpd's
+// single-pair reply) and Measure only counts (a batch's pairs, on the
+// workers the batch takes from mfpd's budget). The planner is
 // memoized per shard version so concurrent route queries at one fault
 // state share the preprocessing. The next fault event
 // invalidates it, and the following query builds the new version's

@@ -245,6 +245,23 @@ func ParseCanonicalCoordArray[C any](data []byte, pos int) (coords []C, end int,
 	}
 }
 
+// ParseCanonicalCoord scans one canonical coordinate object — what
+// json.Marshal writes for a C, e.g. {"x":1,"y":2} — starting at pos,
+// returning the coordinate and the offset just past it. ok=false means
+// the bytes deviate from the canonical encoding (or the coordinate's
+// SetWire rejects them); the caller falls back to encoding/json. mfpd's
+// route requests embed it in their own canonical framing.
+func ParseCanonicalCoord[C any](data []byte, pos int) (c C, end int, ok bool) {
+	if _, hasFast := any((*C)(nil)).(wireSetter); !hasFast {
+		return c, 0, false
+	}
+	s := &canonScanner{data: data, pos: pos}
+	if !s.lit(`{"x":`) || !canonCoord(s, &c) {
+		return c, 0, false
+	}
+	return c, s.pos, true
+}
+
 // canonEvent scans one canonical event object into e. The op prefix pins
 // the key order, so a single lit call per op recognises everything up to
 // the first coordinate value.

@@ -47,15 +47,27 @@ func NewDependencyGraph() *DependencyGraph {
 // AddRoute records the dependencies induced by a delivered route.
 func (g *DependencyGraph) AddRoute(r *Route) {
 	for i := 1; i < len(r.Hops); i++ {
-		from := r.Hops[i-1].Channel()
-		to := r.Hops[i].Channel()
-		set, ok := g.edges[from]
-		if !ok {
-			set = map[Channel]bool{}
-			g.edges[from] = set
-		}
-		set[to] = true
+		g.addEdge(r.Hops[i-1].Channel(), r.Hops[i].Channel())
 	}
+}
+
+// Merge adds every dependency of o to g, so graphs filled from disjoint
+// sets of routes (one per worker) combine into the graph of all of them.
+func (g *DependencyGraph) Merge(o *DependencyGraph) {
+	for from, tos := range o.edges {
+		for to := range tos {
+			g.addEdge(from, to)
+		}
+	}
+}
+
+func (g *DependencyGraph) addEdge(from, to Channel) {
+	set, ok := g.edges[from]
+	if !ok {
+		set = map[Channel]bool{}
+		g.edges[from] = set
+	}
+	set[to] = true
 }
 
 // Channels returns the number of distinct channels seen.

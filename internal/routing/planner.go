@@ -28,9 +28,21 @@ import (
 // change. Either way one dense per-node index answers both the region and
 // the ring lookups, and a bounding box per region lets pathBlocked reject
 // non-intersecting regions without scanning the whole e-cube path.
+//
+// Cost model of a query: a normal e-cube segment (a row run, then a
+// column run) is one word scan of a blocked bitset, the row-major blocked
+// set for a row and a column-major copy of it for a column, however many
+// hops the segment spans; a detour costs its ring hops, each with a
+// bounding-box-narrowed pathBlocked probe. The column-major copy is the
+// planner's own: NewPlannerFrom patches its predecessor's copy with the
+// regions that changed, so a kept region is never transposed again.
 type Planner struct {
 	mesh    grid.Mesh
 	blocked *nodeset.Set // union of the regions; shared, read-only
+	// cols is blocked transposed, over the mesh with width and height
+	// swapped: node (x, y) is its index x*H + y, so each mesh column is
+	// one contiguous run of bits.
+	cols *nodeset.Set
 
 	regions []*nodeset.Set
 	bounds  []grid.Rect // nodeset.Bounds(regions[i]), for fast path rejection
@@ -91,8 +103,15 @@ func NewPlannerFrom(prev *Planner, snap *engine.Snapshot) *Planner {
 		prev = nil
 	}
 	p := &Planner{mesh: m, blocked: snap.Disabled()}
-	built := p.mergeRegions(prev, snap.Components(), snap.Polygons())
+	origin := p.mergeRegions(prev, snap.Components(), snap.Polygons())
 	p.indexRings()
+	p.indexColumns(prev, origin)
+	built := 0
+	for _, o := range origin {
+		if o < 0 {
+			built++
+		}
+	}
 	observeBuild(start, len(p.regions)-built, built)
 	return p
 }
@@ -121,6 +140,7 @@ func NewPlannerForBlocked(m grid.Mesh, blocked *nodeset.Set) *Planner {
 		p.rings[id] = tracer.trace(reg)
 	}
 	p.indexRings()
+	p.indexColumns(nil, nil)
 	observeBuild(start, 0, len(p.regions))
 	return p
 }
@@ -138,8 +158,9 @@ func (t *ringTracer) trace(reg *nodeset.Set) []grid.Coord {
 
 // mergeRegions fills the planner's polygon bookkeeping and its regions,
 // bounds and rings from the snapshot's seed-ordered components and
-// polygons, and returns how many regions it built rather than took from
-// prev (nil for a full build).
+// polygons, and returns each region's origin: the prev region it kept,
+// with its union set and ring, or -1 for a region it built (every region
+// when prev is nil).
 //
 // Polygons whose union is 8-connected form one region, so the regions
 // match the 8-connected regions of the disabled union. Separate fault
@@ -147,7 +168,7 @@ func (t *ringTracer) trace(reg *nodeset.Set) []grid.Coord {
 // closures can grow until they touch or overlap; a ring walked around
 // only one of two touching polygons would cross the other, so touching
 // polygons must detour as one region. A union-find groups them.
-func (p *Planner) mergeRegions(prev *Planner, comps, polys []*nodeset.Set) (built int) {
+func (p *Planner) mergeRegions(prev *Planner, comps, polys []*nodeset.Set) (origin []int32) {
 	m := p.mesh
 	n := len(polys)
 	p.polys = polys
@@ -304,22 +325,22 @@ func (p *Planner) mergeRegions(prev *Planner, comps, polys []*nodeset.Set) (buil
 	p.regions = make([]*nodeset.Set, len(groups))
 	p.bounds = make([]grid.Rect, len(groups))
 	p.rings = make([][]grid.Coord, len(groups))
+	origin = make([]int32, len(groups))
 	var tracer ringTracer
 	for id, k := range order {
 		g := &groups[k]
 		rank[k] = int32(id)
-		p.regions[id], p.bounds[id] = g.set, g.bounds
+		p.regions[id], p.bounds[id], origin[id] = g.set, g.bounds, g.from
 		if g.from >= 0 {
 			p.rings[id] = prev.rings[g.from]
 		} else {
 			p.rings[id] = tracer.trace(g.set)
-			built++
 		}
 	}
 	for i, k := range groupOf {
 		p.polyRegion[i] = rank[k]
 	}
-	return built
+	return origin
 }
 
 // boxOf converts a non-empty rectangle to the box index's box.
@@ -382,6 +403,40 @@ func (p *Planner) indexRings() {
 			}
 			p.ringEntries = append(p.ringEntries, ringEntry{next: p.node[node], region: int32(id), pos: int32(i)})
 			p.node[node] = int32(len(p.ringEntries))
+		}
+	}
+}
+
+// indexColumns fills the column-major copy of the blocked set. Without a
+// predecessor it transposes the whole set. With one it patches prev's
+// copy: it clears every prev region p did not keep and adds every region
+// p built (origin -1), so the cost follows the diff. Clearing before
+// adding is exact: kept regions equal prev regions, prev regions are
+// disjoint, so a cleared node that is still blocked lies in a built
+// region and is added back.
+func (p *Planner) indexColumns(prev *Planner, origin []int32) {
+	m := p.mesh
+	transpose := func(i int) int { return i%m.W*m.H + i/m.W }
+	if prev == nil {
+		p.cols = nodeset.New(grid.New(m.H, m.W))
+		p.blocked.EachIndex(func(i int) { p.cols.AddIndex(transpose(i)) })
+		return
+	}
+	p.cols = prev.cols.Clone()
+	kept := make([]bool, len(prev.regions))
+	for _, o := range origin {
+		if o >= 0 {
+			kept[o] = true
+		}
+	}
+	for id, reg := range prev.regions {
+		if !kept[id] {
+			reg.EachIndex(func(i int) { p.cols.RemoveIndex(transpose(i)) })
+		}
+	}
+	for id, reg := range p.regions {
+		if origin[id] < 0 {
+			reg.EachIndex(func(i int) { p.cols.AddIndex(transpose(i)) })
 		}
 	}
 }
@@ -471,6 +526,19 @@ func (p *Planner) Measure(src, dst grid.Coord) (length, abnormal int, err error)
 	return length, abnormal, err
 }
 
+// AppendPath walks the same route as Route and appends its node sequence
+// to path, the source first and then every hop's target, as Route.Path
+// lists them; the route's length is the number of nodes appended minus
+// one. It returns the extended slice and the abnormal hop count, or path
+// unchanged and the error Route would return. It builds no Hop slice, so
+// a caller that writes the path out (mfpd's single-pair reply) allocates
+// nothing once its buffer has grown to fit.
+func (p *Planner) AppendPath(path []grid.Coord, src, dst grid.Coord) ([]grid.Coord, int, error) {
+	out, abnormal, err := p.appendPath(path, src, dst)
+	routeOutcome(err).Inc()
+	return out, abnormal, err
+}
+
 func (p *Planner) route(src, dst grid.Coord) (*Route, error) {
 	if err := p.checkEndpoints(src, dst); err != nil {
 		return nil, err
@@ -478,11 +546,12 @@ func (p *Planner) route(src, dst grid.Coord) (*Route, error) {
 	// Detours add little beyond the Manhattan distance on meshes of convex
 	// regions, so one allocation sized with some slack holds most routes.
 	dist := abs(dst.X-src.X) + abs(dst.Y-src.Y)
-	route := &Route{Src: src, Dst: dst, Hops: make([]Hop, 0, dist+dist/4+32)}
-	if _, _, err := p.walk(route, src, dst); err != nil {
+	tr := trail{hops: make([]Hop, 0, dist+dist/4+32)}
+	_, abnormal, err := p.walk(&tr, src, dst)
+	if err != nil {
 		return nil, err
 	}
-	return route, nil
+	return &Route{Src: src, Dst: dst, Hops: tr.hops, AbnormalHops: abnormal}, nil
 }
 
 func (p *Planner) measure(src, dst grid.Coord) (length, abnormal int, err error) {
@@ -490,6 +559,18 @@ func (p *Planner) measure(src, dst grid.Coord) (length, abnormal int, err error)
 		return 0, 0, err
 	}
 	return p.walk(nil, src, dst)
+}
+
+func (p *Planner) appendPath(path []grid.Coord, src, dst grid.Coord) ([]grid.Coord, int, error) {
+	if err := p.checkEndpoints(src, dst); err != nil {
+		return path, 0, err
+	}
+	tr := trail{nodes: append(path, src), asNodes: true}
+	_, abnormal, err := p.walk(&tr, src, dst)
+	if err != nil {
+		return path, 0, err
+	}
+	return tr.nodes, abnormal, nil
 }
 
 // checkEndpoints rejects a query whose source or destination is off the
@@ -504,45 +585,63 @@ func (p *Planner) checkEndpoints(src, dst grid.Coord) error {
 	return nil
 }
 
+// trail is where a walk records its hops: as Hops for Route, or as the
+// nodes they reach for AppendPath. Measure walks without one.
+type trail struct {
+	hops    []Hop
+	nodes   []grid.Coord
+	asNodes bool
+}
+
+func (tr *trail) add(h Hop) {
+	if tr.asNodes {
+		tr.nodes = append(tr.nodes, h.To)
+	} else {
+		tr.hops = append(tr.hops, h)
+	}
+}
+
+// line records the normal hops of a straight run from one node to another.
+func (tr *trail) line(from, to grid.Coord, t MessageType) {
+	d := grid.XY(sign(to.X-from.X), sign(to.Y-from.Y))
+	for c := from; c != to; {
+		next := c.Add(d)
+		tr.add(Hop{From: c, To: next, Type: t})
+		c = next
+	}
+}
+
 // walk runs the extended e-cube route between two valid endpoints and
-// returns its length and abnormal hop count. When route is non-nil the
-// hops are appended to it and its AbnormalHops set; the nil form only
-// counts, which is what Measure serves.
-func (p *Planner) walk(route *Route, src, dst grid.Coord) (length, abnormal int, err error) {
+// returns its length and abnormal hop count, recording the hops in tr
+// when it is non-nil (Measure passes nil and only counts). A normal
+// message advances a whole segment per step; only detours go hop by hop.
+func (p *Planner) walk(tr *trail, src, dst grid.Coord) (length, abnormal int, err error) {
+	// The budget bounds the hops taken before each hop and each detour
+	// starts; within a segment the last hop's check implies the others.
 	budget := 6*p.mesh.Size() + 16
 	cur := src
 	for cur != dst {
+		t := classify(cur, dst)
+		stop, region := p.segment(cur, dst, t)
+		if k := abs(stop.X-cur.X) + abs(stop.Y-cur.Y); k > 0 {
+			if length+k-1 > budget {
+				return 0, 0, ErrHopBudget
+			}
+			if tr != nil {
+				tr.line(cur, stop, t)
+			}
+			length += k
+			cur = stop
+		}
+		if region < 0 {
+			continue
+		}
 		if length > budget {
 			return 0, 0, ErrHopBudget
 		}
-		t := classify(cur, dst)
-		var dir grid.Direction
-		switch t {
-		case WE:
-			dir = grid.East
-		case EW:
-			dir = grid.West
-		case NS:
-			dir = grid.South
-		case SN:
-			dir = grid.North
-		}
-		next, ok := p.mesh.Step(cur, dir)
-		if !ok {
-			return 0, 0, fmt.Errorf("routing: e-cube step off the mesh at %v", cur)
-		}
-		if !p.blocked.Has(next) {
-			if route != nil {
-				route.Hops = append(route.Hops, Hop{From: cur, To: next, Type: t})
-			}
-			length++
-			cur = next
-			continue
-		}
 		// Abnormal mode: travel the region's boundary ring until the
 		// region stops affecting the remaining e-cube path.
-		region := int(-p.node[p.mesh.Index(next)] - 1)
-		out := p.detour(route, region, cur, dst, t)
+		out := p.detour(tr, region, cur, dst, t)
 		if out.err != nil {
 			return 0, 0, out.err
 		}
@@ -550,10 +649,61 @@ func (p *Planner) walk(route *Route, src, dst grid.Coord) (length, abnormal int,
 		abnormal += out.hops
 		cur = out.end
 	}
-	if route != nil {
-		route.AbnormalHops = abnormal
-	}
 	return length, abnormal, nil
+}
+
+// segment scans the e-cube segment a message of type t at cur travels
+// next: east or west along cur's row to dst's column, or north or south
+// along dst's column (cur's, for a column type) to dst. It returns the
+// node before the segment's first blocked node and that node's region, or
+// the segment's end and -1 when nothing blocks it.
+func (p *Planner) segment(cur, dst grid.Coord, t MessageType) (stop grid.Coord, region int) {
+	m := p.mesh
+	if t == WE || t == EW {
+		row := cur.Y * m.W
+		hit := nearest(p.blocked, row+cur.X, row+dst.X, t == WE)
+		if hit < 0 {
+			return grid.XY(dst.X, cur.Y), -1
+		}
+		return grid.XY(hit-row-step(t == WE), cur.Y), int(-p.node[hit] - 1)
+	}
+	col := cur.X * m.H
+	hit := nearest(p.cols, col+cur.Y, col+dst.Y, t == SN)
+	if hit < 0 {
+		return dst, -1
+	}
+	y := hit - col
+	return grid.XY(cur.X, y-step(t == SN)), int(-p.node[y*m.W+cur.X] - 1)
+}
+
+// nearest returns the member of s strictly after from, up to and
+// including to, that lies nearest from: the first index when the run
+// climbs the index order (up), the last otherwise; -1 when there is none.
+func nearest(s *nodeset.Set, from, to int, up bool) int {
+	if up {
+		first, _, _ := s.SpanOfRange(from+1, to+1)
+		return first
+	}
+	_, last, _ := s.SpanOfRange(to, from)
+	return last
+}
+
+// step is the index step of a run: +1 climbing, -1 descending.
+func step(up bool) int {
+	if up {
+		return 1
+	}
+	return -1
+}
+
+func sign(v int) int {
+	switch {
+	case v > 0:
+		return 1
+	case v < 0:
+		return -1
+	}
+	return 0
 }
 
 func abs(v int) int {
@@ -573,15 +723,15 @@ type walkOutcome struct {
 
 // walkRing walks the boundary ring of region id from position start (which
 // holds cur) in direction dir until the message becomes normal again. When
-// route is non-nil the hops are recorded; the dry-run form (route nil)
-// only computes the outcome. Besides the region no longer blocking the
+// tr is non-nil the hops are recorded; the dry-run form (tr nil) only
+// computes the outcome. Besides the region no longer blocking the
 // remaining e-cube path, the exit must not regress the message type (a
 // WE-bound message never exits east of the destination column, a NS-bound
 // one exits on the destination column, and so on) — this one-way type
 // discipline is what makes the four-virtual-channel scheme deadlock-free
 // around rectangular blocks (not around every polygon; see the package
 // comment).
-func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t MessageType, dir int) walkOutcome {
+func (p *Planner) walkRing(tr *trail, id, start int, cur, dst grid.Coord, t MessageType, dir int) walkOutcome {
 	ring := p.rings[id]
 	pos := start
 	hops := 0
@@ -597,8 +747,8 @@ func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t M
 		if !p.mesh.Contains(next) {
 			return walkOutcome{end: cur, hops: hops, err: ErrBorderRegion}
 		}
-		if route != nil {
-			route.Hops = append(route.Hops, Hop{From: cur, To: next, Type: t, Abnormal: true})
+		if tr != nil {
+			tr.add(Hop{From: cur, To: next, Type: t, Abnormal: true})
 		}
 		hops++
 		cur = next
@@ -608,16 +758,15 @@ func (p *Planner) walkRing(route *Route, id, start int, cur, dst grid.Coord, t M
 }
 
 // detour walks the boundary ring of the region from cur until the message
-// becomes normal again, appending abnormal hops to route when it is
-// non-nil. The ring of a pinched region revisits cells, so cur can hold
+// becomes normal again, recording abnormal hops in tr when it is non-nil. The ring of a pinched region revisits cells, so cur can hold
 // several ring positions; each occurrence continues along a different
 // boundary arc, and committing to the first one blindly can drag the
 // message through a dead-end spur (or the long way around the pinch). The
 // walk is therefore dry-run from every occurrence first and replayed from
 // the one that re-normalizes in the fewest hops — for the common
 // simple-ring case (one occurrence) this is exactly the single walk, and
-// without a route the winning dry run is the outcome.
-func (p *Planner) detour(route *Route, id int, cur, dst grid.Coord, t MessageType) walkOutcome {
+// without a trail the winning dry run is the outcome.
+func (p *Planner) detour(tr *trail, id int, cur, dst grid.Coord, t MessageType) walkOutcome {
 	var occBuf [4]int
 	occ := p.ringPositions(id, cur, occBuf[:0])
 	if len(occ) == 0 {
@@ -632,11 +781,11 @@ func (p *Planner) detour(route *Route, id int, cur, dst grid.Coord, t MessageTyp
 				best, start = alt, o
 			}
 		}
-		if route == nil {
+		if tr == nil {
 			return best
 		}
 	}
-	return p.walkRing(route, id, start, cur, dst, t, dir)
+	return p.walkRing(tr, id, start, cur, dst, t, dir)
 }
 
 // better reports whether walk outcome a beats b: successful walks beat
@@ -692,15 +841,23 @@ func (p *Planner) RouteAll(queries []Query, workers int) []Result {
 }
 
 // Verify reports the first way the planner differs from ref, a planner of
-// the same blocked set built another way: the region list in order (each
-// region's nodes, bounds and ring), then the route or error of every
-// query, compared hop by hop and byte by byte, and the planner's Measure
-// of the query against the reference route's counts and error. It is the differential
-// check of the incremental construction, run by its tests and by the
-// stress gate; its queries are not counted in routing_routes_total.
+// the same blocked set built another way: the blocked set and its
+// column-major copy, the region list in order (each region's nodes,
+// bounds and ring), then the route or error of every query, compared hop
+// by hop and byte by byte, and the planner's Measure and AppendPath of
+// the query against the reference route's counts, path and error. It is
+// the differential check of the incremental construction, run by its
+// tests and by the stress gate; its queries are not counted in
+// routing_routes_total.
 func (p *Planner) Verify(ref *Planner, queries []Query) error {
 	if p.mesh != ref.mesh {
 		return fmt.Errorf("routing: planner over %v, reference over %v", p.mesh, ref.mesh)
+	}
+	if !p.blocked.Equal(ref.blocked) {
+		return fmt.Errorf("routing: blocked set differs from the reference's")
+	}
+	if !p.cols.Equal(ref.cols) {
+		return fmt.Errorf("routing: column-major blocked set differs from the reference's")
 	}
 	if len(p.regions) != len(ref.regions) {
 		return fmt.Errorf("routing: %d regions, reference has %d", len(p.regions), len(ref.regions))
@@ -731,6 +888,14 @@ func (p *Planner) Verify(ref *Planner, queries []Query) error {
 		if werr == nil && (length != want.Length() || abnormal != want.AbnormalHops) {
 			return fmt.Errorf("routing: %v -> %v: measured %d hops (%d abnormal), reference %d (%d)",
 				q.Src, q.Dst, length, abnormal, want.Length(), want.AbnormalHops)
+		}
+		path, abnormal, perr := p.appendPath(nil, q.Src, q.Dst)
+		if fmt.Sprint(perr) != fmt.Sprint(werr) {
+			return fmt.Errorf("routing: %v -> %v: path error %v, reference %v", q.Src, q.Dst, perr, werr)
+		}
+		if werr == nil && (abnormal != want.AbnormalHops || !slices.Equal(path, want.Path())) {
+			return fmt.Errorf("routing: %v -> %v: appended path %v (%d abnormal), reference %v (%d)",
+				q.Src, q.Dst, path, abnormal, want.Path(), want.AbnormalHops)
 		}
 	}
 	return nil

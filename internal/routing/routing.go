@@ -20,6 +20,17 @@
 // fault regions do not touch the mesh border; a route that would need the
 // virtual halo fails with ErrBorderRegion.
 //
+// Cost model: the walk advances a normal message one e-cube segment at a
+// time (its row up to the destination column, then that column up to the
+// destination), and a segment costs one word scan of a blocked bitset,
+// however many hops it spans: the row-major blocked set for a row, and a
+// column-major copy of it that the Planner holds for a column. A detour
+// costs its ring hops, each with one bounding-box-narrowed probe of the
+// remaining e-cube path. Route, Measure and AppendPath are three sinks of
+// that one walk: Route records Hops, AppendPath appends the node path to
+// a caller's buffer, and Measure only counts, so it pays for segments and
+// detours and nothing per normal hop.
+//
 // Deadlock scope: around rectangular faulty blocks the orientation rules
 // keep every detour arc free of direction reversals, so the four-channel
 // assignment is cycle-free. Around non-rectangular orthogonal convex

@@ -299,6 +299,30 @@ func TestDependencyGraphCycleDetection(t *testing.T) {
 	}
 }
 
+// TestDependencyGraphMerge: graphs filled from two halves of a route set
+// merge into the graph of the whole set.
+func TestDependencyGraphMerge(t *testing.T) {
+	m := grid.New(12, 12)
+	p := NewPlannerForBlocked(m, pinchedRegion(m))
+	whole, halves := NewDependencyGraph(), [2]*DependencyGraph{NewDependencyGraph(), NewDependencyGraph()}
+	for i, q := range allPairs(m) {
+		r, err := p.Route(q.Src, q.Dst)
+		if err != nil {
+			continue
+		}
+		whole.AddRoute(r)
+		halves[i%2].AddRoute(r)
+	}
+	halves[0].Merge(halves[1])
+	if halves[0].Edges() != whole.Edges() || halves[0].Channels() != whole.Channels() || halves[0].HasCycle() != whole.HasCycle() {
+		t.Fatalf("merged graph: %d edges, %d channels, cyclic %v; whole: %d, %d, %v",
+			halves[0].Edges(), halves[0].Channels(), halves[0].HasCycle(), whole.Edges(), whole.Channels(), whole.HasCycle())
+	}
+	if halves[1].Edges() >= whole.Edges() {
+		t.Fatalf("fixture: half the routes already give all %d edges", whole.Edges())
+	}
+}
+
 func TestRouteAccessors(t *testing.T) {
 	m := grid.New(6, 6)
 	n := NewPlannerForBlocked(m, nodeset.New(m))
